@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .audio import normalize_amplitude, normalize_rms
 from .dataset import Dataset, fit_scaler
+from .dsp import default_window_size
 from .errors import ParameterError, PipelineStageError
 from .evaluation import (
     SignificanceReport,
@@ -186,12 +187,24 @@ class ReportBundle:
 # corpus loading
 # ---------------------------------------------------------------------------
 
+def _unusable_reason(signal) -> str | None:
+    """Why a clip cannot be featurized, or None when it can."""
+    window = default_window_size(signal.sample_rate_hz)
+    if len(signal) < window:
+        return f"{len(signal)} samples, shorter than one {window}-sample analysis window"
+    if not np.any(signal.samples):
+        return "silent: every sample is zero"
+    return None
+
+
 def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
     """WAV directory + labels CSV -> extracted Dataset.
 
-    The CSV needs 'filename' and 'label' columns. Missing files abort
-    the load unless ``permissive`` is set, in which case they are
-    skipped and reported in the provenance.
+    The CSV needs 'filename' and 'label' columns. A missing file, a clip
+    shorter than the analysis window and an all-zero clip abort the load
+    unless ``permissive`` is set, in which case they are skipped and
+    listed with their reasons in ``provenance["skipped"]``. Files at
+    different sample rates are always rejected, never resampled.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -207,18 +220,34 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
     if not rows:
         raise ParameterError(f"{labels_path}: no data rows")
 
-    signals, raw_labels, skipped = [], [], []
+    signals, raw_labels, skipped = [], [], {}
+    file_at_rate = {}
     for row in rows:
         path = directory / row["filename"]
         if not path.is_file():
             if permissive:
-                skipped.append(row["filename"])
+                skipped[row["filename"]] = "missing"
                 continue
             raise ParameterError(f"listed file missing: {path}")
-        signals.append(read_wav(path))
+        signal = read_wav(path)
+        rate = signal.sample_rate_hz
+        file_at_rate.setdefault(rate, row["filename"])
+        if len(file_at_rate) > 1:
+            (r1, f1), (r2, f2) = list(file_at_rate.items())
+            raise ParameterError(
+                f"corpus mixes sample rates: {r1:g} Hz ({f1}) and {r2:g} Hz ({f2})"
+            )
+        reason = _unusable_reason(signal)
+        if reason is not None:
+            if permissive:
+                skipped[row["filename"]] = reason
+                continue
+            raise ParameterError(f"{path}: {reason}")
+        signals.append(signal)
         raw_labels.append(int(row["label"]))
     if skipped:
-        warnings.warn(f"skipped {len(skipped)} missing files: {skipped[:5]}...")
+        listed = "; ".join(f"{name} ({why})" for name, why in list(skipped.items())[:5])
+        warnings.warn(f"skipped {len(skipped)} files: {listed}")
     if not signals:
         raise ParameterError("no loadable samples in corpus")
 
@@ -531,9 +560,52 @@ def _p_value_cell(p: float) -> str:
     return f"{p:.3f}"
 
 
-def _write_csv(path: Path, rows) -> None:
+def write_csv(path: Path, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
+
+
+def _condition_names(conditions) -> list:
+    return ["Clean"] + [
+        f"SNR {int(v) if float(v).is_integer() else v} dB" for v in conditions[1:]
+    ]
+
+
+def noise_rows(model_names, conditions, table) -> list:
+    """Rows of noise.csv: F1 per condition and the robustness index."""
+    rows = [["Algorithm"] + _condition_names(conditions) + ["Robustness Index"]]
+    for name in model_names:
+        values = table[name]
+        rows.append([name] + [_fmt(v) for v in values] + [_fmt(robustness_index(values))])
+    return rows
+
+
+def significance_rows(sig: SignificanceReport) -> list:
+    """Rows of significance.csv: the pairwise McNemar p-value matrix."""
+    rows = [["Model"] + list(sig.model_names)]
+    for i, name in enumerate(sig.model_names):
+        cells = []
+        for j in range(len(sig.model_names)):
+            cells.append("-" if i == j else _p_value_cell(sig.mcnemar_p[i, j]))
+        rows.append([name] + cells)
+    return rows
+
+
+def friedman_rows(sig: SignificanceReport, n_folds=None, nemenyi_q_alpha=None) -> list:
+    """Rows of friedman.csv; the Nemenyi rows appear only with a q_alpha."""
+    rows = [
+        ["friedman_chi2", _fmt(sig.friedman_chi2)],
+        ["friedman_p", f"{sig.friedman_p:.6g}"],
+    ]
+    if nemenyi_q_alpha is not None:
+        cd = nemenyi_critical_difference(len(sig.model_names), n_folds, nemenyi_q_alpha)
+        rows.append(["nemenyi_critical_difference", _fmt(cd)])
+        rows.append(["nemenyi_q_alpha", _fmt(nemenyi_q_alpha)])
+    rows.append(["Model", "AvgRank"])
+    order = np.argsort(sig.avg_ranks, kind="stable")
+    for k in order:
+        rows.append([sig.model_names[k], f"{sig.avg_ranks[k]:.2f}"])
+    return rows
 
 
 def write_bundle(bundle: ReportBundle, out_dir) -> dict:
@@ -549,55 +621,31 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
     for name in bundle.model_names:
         mean, std = bundle.metrics_mean[name], bundle.metrics_std[name]
         rows.append([name] + [_fmt_mean_std(mean[m], std[m]) for m in METRIC_COLUMNS])
-    _write_csv(out / "metrics.csv", rows)
+    write_csv(out / "metrics.csv", rows)
     written["metrics"] = out / "metrics.csv"
 
-    sig = bundle.significance
-    rows = [["Model"] + list(sig.model_names)]
-    for i, name in enumerate(sig.model_names):
-        cells = []
-        for j in range(len(sig.model_names)):
-            cells.append("-" if i == j else _p_value_cell(sig.mcnemar_p[i, j]))
-        rows.append([name] + cells)
-    _write_csv(out / "significance.csv", rows)
+    write_csv(out / "significance.csv", significance_rows(bundle.significance))
     written["significance"] = out / "significance.csv"
 
-    rows = [
-        ["friedman_chi2", _fmt(sig.friedman_chi2)],
-        ["friedman_p", f"{sig.friedman_p:.6g}"],
-    ]
-    if bundle.config.nemenyi_q_alpha is not None:
-        cd = nemenyi_critical_difference(
-            len(sig.model_names), bundle.config.n_folds, bundle.config.nemenyi_q_alpha
-        )
-        rows.append(["nemenyi_critical_difference", _fmt(cd)])
-        rows.append(["nemenyi_q_alpha", _fmt(bundle.config.nemenyi_q_alpha)])
-    rows.append(["Model", "AvgRank"])
-    order = np.argsort(sig.avg_ranks, kind="stable")
-    for k in order:
-        rows.append([sig.model_names[k], f"{sig.avg_ranks[k]:.2f}"])
-    _write_csv(out / "friedman.csv", rows)
+    write_csv(
+        out / "friedman.csv",
+        friedman_rows(bundle.significance, bundle.config.n_folds, bundle.config.nemenyi_q_alpha),
+    )
     written["friedman"] = out / "friedman.csv"
 
     if bundle.noise_table is not None:
-        cond_names = ["Clean"] + [
-            f"SNR {int(v) if float(v).is_integer() else v} dB"
-            for v in bundle.noise_conditions[1:]
-        ]
-        rows = [["Algorithm"] + cond_names + ["Robustness Index"]]
-        for name in bundle.model_names:
-            values = bundle.noise_table[name]
-            rows.append(
-                [name] + [_fmt(v) for v in values] + [_fmt(robustness_index(values))]
-            )
-        _write_csv(out / "noise.csv", rows)
+        write_csv(
+            out / "noise.csv",
+            noise_rows(bundle.model_names, bundle.noise_conditions, bundle.noise_table),
+        )
         written["noise"] = out / "noise.csv"
 
         rows = [["model", "condition", "f1"]]
+        conditions = _condition_names(bundle.noise_conditions)
         for name in bundle.model_names:
-            for cond, value in zip(cond_names, bundle.noise_table[name]):
+            for cond, value in zip(conditions, bundle.noise_table[name]):
                 rows.append([name, cond, _fmt(value)])
-        _write_csv(figs / "fig6_noise_curves.csv", rows)
+        write_csv(figs / "fig6_noise_curves.csv", rows)
 
     if bundle.importance is not None:
         order = np.argsort(-bundle.importance, kind="stable")
@@ -605,7 +653,7 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
         for rank, fid in enumerate(order, start=1):
             entry = REGISTRY[fid]
             rows.append([rank, entry.name, entry.domain, f"{bundle.importance[fid]:.6f}"])
-        _write_csv(out / "importance.csv", rows)
+        write_csv(out / "importance.csv", rows)
         written["importance"] = out / "importance.csv"
 
         rows = [["domain", "importance", "share_percent"]]
@@ -613,7 +661,7 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
             ids = [e.id for e in REGISTRY if e.domain == domain]
             share = float(bundle.importance[ids].sum())
             rows.append([domain, f"{share:.6f}", f"{share * 100:.1f}"])
-        _write_csv(out / "domain_importance.csv", rows)
+        write_csv(out / "domain_importance.csv", rows)
         written["domain_importance"] = out / "domain_importance.csv"
 
     if bundle.timing is not None:
@@ -639,12 +687,12 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
                     t.repetitions,
                 ]
             )
-        _write_csv(out / "timing.csv", rows)
+        write_csv(out / "timing.csv", rows)
         written["timing"] = out / "timing.csv"
         rows = [["model", "prediction_ms"]]
         for name in bundle.model_names:
             rows.append([name, f"{bundle.timing[name].prediction_ms_per_sample:.4f}"])
-        _write_csv(figs / "fig4_prediction_time.csv", rows)
+        write_csv(figs / "fig4_prediction_time.csv", rows)
 
     rows = [["model", "metric", "mean", "std"]]
     for name in bundle.model_names:
@@ -657,7 +705,7 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
                     _fmt(bundle.metrics_std[name][metric]),
                 ]
             )
-    _write_csv(figs / "fig3_performance.csv", rows)
+    write_csv(figs / "fig3_performance.csv", rows)
 
     dataset_label = bundle.config.data.get("source", "synthetic")
     rows = [["dataset", "model", "f1_mean", "f1_std"]]
@@ -670,7 +718,7 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
                 _fmt(bundle.metrics_std[name]["f1"]),
             ]
         )
-    _write_csv(figs / "fig5_f1_by_dataset.csv", rows)
+    write_csv(figs / "fig5_f1_by_dataset.csv", rows)
 
     rows = [["sample_index", "fold", "y_true"] + list(bundle.model_names)]
     for sample_index, fold, y_true in bundle.prediction_rows:
@@ -678,7 +726,7 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
             [sample_index, fold, y_true]
             + [int(bundle.predictions[name][sample_index]) for name in bundle.model_names]
         )
-    _write_csv(out / "predictions.csv", rows)
+    write_csv(out / "predictions.csv", rows)
     written["predictions"] = out / "predictions.csv"
 
     manifest_lines = [f"{key}={bundle.manifest[key]}" for key in sorted(bundle.manifest)]

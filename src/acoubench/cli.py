@@ -14,16 +14,19 @@ stderr and exit 1. Input directories are never modified.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 from .bench import (
     ExperimentConfig,
+    friedman_rows,
+    noise_rows,
     run_experiment,
     run_noise_sweep,
     significance_from_predictions,
+    significance_rows,
     write_bundle,
+    write_csv,
 )
 from .errors import AcoubenchError, PipelineStageError
 from .features import save_feature_csv
@@ -58,8 +61,7 @@ def _cmd_synth(args) -> int:
         name = f"{FaultClass(label).name.lower()}_{i % cfg.samples_per_class:04d}.wav"
         write_wav(out / name, signal.replace_samples(signal.samples * gain))
         rows.append([name, label, int(dataset.seeds[i])])
-    with open(out / "labels.csv", "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+    write_csv(out / "labels.csv", rows)
     print(f"wrote {len(dataset)} WAV files and labels.csv to {out} (gain {gain:.4f})")
     return 0
 
@@ -91,23 +93,11 @@ def _cmd_noise(args) -> int:
     levels = None
     if args.levels:
         levels = tuple(float(v) for v in args.levels.split(","))
-    names, conditions, table, indices = run_noise_sweep(cfg, levels_db=levels)
+    names, conditions, table, _ = run_noise_sweep(cfg, levels_db=levels)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cond_names = ["Clean"] + [
-        f"SNR {int(v) if float(v).is_integer() else v} dB" for v in conditions[1:]
-    ]
-    rows = [["Algorithm"] + cond_names + ["Robustness Index"]]
-    for name in names:
-        rows.append(
-            [name]
-            + [f"{v:.4f}" for v in table[name]]
-            + [f"{indices[name]:.4f}"]
-        )
-    path = out / "noise.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
-    print(f"noise: {path}")
+    write_csv(out / "noise.csv", noise_rows(names, conditions, table))
+    print(f"noise: {out / 'noise.csv'}")
     return 0
 
 
@@ -115,26 +105,8 @@ def _cmd_stats(args) -> int:
     report = significance_from_predictions(args.predictions)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .bench import _p_value_cell
-
-    rows = [["Model"] + list(report.model_names)]
-    for i, name in enumerate(report.model_names):
-        cells = [
-            "-" if i == j else _p_value_cell(report.mcnemar_p[i, j])
-            for j in range(len(report.model_names))
-        ]
-        rows.append([name] + cells)
-    with open(out / "significance.csv", "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
-    rows = [
-        ["friedman_chi2", f"{report.friedman_chi2:.4f}"],
-        ["friedman_p", f"{report.friedman_p:.6g}"],
-        ["Model", "AvgRank"],
-    ]
-    for k in sorted(range(len(report.model_names)), key=lambda i: report.avg_ranks[i]):
-        rows.append([report.model_names[k], f"{report.avg_ranks[k]:.2f}"])
-    with open(out / "friedman.csv", "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+    write_csv(out / "significance.csv", significance_rows(report))
+    write_csv(out / "friedman.csv", friedman_rows(report))
     print(f"stats: {out / 'significance.csv'}, {out / 'friedman.csv'}")
     return 0
 
@@ -158,7 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--labels", required=True, help="labels CSV (filename,label)")
     p.add_argument("--out", required=True, help="output features CSV path")
-    p.add_argument("--permissive", action="store_true", help="skip missing files")
+    p.add_argument(
+        "--permissive",
+        action="store_true",
+        help="skip missing, silent and too-short clips (mixed sample rates still fail)",
+    )
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("bench", help="run the full benchmark")

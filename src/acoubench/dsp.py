@@ -30,6 +30,7 @@ __all__ = [
     "stft",
     "mel_filterbank",
     "mfcc_frames",
+    "mfcc_from_spectrogram",
     "mfcc",
     "default_window_size",
     "dwt_energies",
@@ -194,11 +195,21 @@ def mfcc_frames(
         raise ParameterError(
             f"signal too short for MFCC: {len(x.samples)} samples < window {window_size}"
         )
+    return mfcc_from_spectrogram(stft(x, window_size, hop), x.sample_rate_hz, n_coeffs, n_filters)
+
+
+def mfcc_from_spectrogram(
+    spec: Spectrogram, sample_rate_hz: float, n_coeffs: int = 13, n_filters: int = 26
+) -> np.ndarray:
+    """Per-frame MFCCs of an existing power spectrogram, shape [frames, n_coeffs].
+
+    The mel filterbank -> log -> DCT-II half of :func:`mfcc_frames`, for
+    callers that already hold the STFT.
+    """
     if n_coeffs < 1 or n_coeffs > n_filters:
         raise ParameterError("n_coeffs must be in 1..n_filters")
-    spec = stft(x, window_size, hop)
-    nfft = round(x.sample_rate_hz / spec.bin_hz)
-    bank = mel_filterbank(n_filters, nfft, x.sample_rate_hz)
+    nfft = round(sample_rate_hz / spec.bin_hz)
+    bank = mel_filterbank(n_filters, nfft, sample_rate_hz)
     energies = spec.power @ bank.T
     log_energies = np.log(np.maximum(energies, LOG_ENERGY_FLOOR))
     return log_energies @ _dct_ii_matrix(n_coeffs, n_filters).T

@@ -199,8 +199,8 @@ class _SignalContext:
     @property
     def mfcc_frames(self) -> np.ndarray:
         if self._mfcc_frames is None:
-            self._mfcc_frames = dsp.mfcc_frames(
-                self.x, n_coeffs=13, window_size=self.window, hop=self.hop
+            self._mfcc_frames = dsp.mfcc_from_spectrogram(
+                self.spectrogram, self.x.sample_rate_hz, n_coeffs=13
             )
         return self._mfcc_frames
 
@@ -473,14 +473,6 @@ def extract_all(x: AudioSignal) -> FeatureVector:
 def extract_matrix(signals) -> np.ndarray:
     """Feature matrix [n_signals, 127]; rows follow input order."""
     return np.vstack([extract_all(sig).values for sig in signals])
-
-
-def extract_dataset(dataset: Dataset) -> Dataset:
-    if dataset.signals is None:
-        raise ParameterError("dataset retains no signals to extract from")
-    return dataset.with_features(
-        extract_matrix(dataset.signals), registry_version=REGISTRY_VERSION
-    )
 
 
 def standardize(train: Dataset, apply_to: Dataset) -> tuple[Dataset, Dataset, Scaler]:

@@ -11,46 +11,11 @@ applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ParameterError
 from .base import Classifier
-
-
-@dataclass
-class _BoostNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_BoostNode | None" = None
-    right: "_BoostNode | None" = None
-    weight: float | None = None  # leaves only
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.weight is not None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"weight": self.weight}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "_BoostNode":
-        if "weight" in d:
-            return cls(weight=d["weight"])
-        return cls(
-            feature=d["feature"],
-            threshold=d["threshold"],
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
-        )
+from .tree import Tree, pick_split, sorted_prefix_sums
 
 
 def leaf_weight(grad_sum: float, hess_sum: float, lambda_l2: float) -> float:
@@ -62,48 +27,31 @@ def _leaf_score(g: float, h: float, lambda_l2: float) -> float:
     return g * g / (h + lambda_l2)
 
 
-def _build_tree(X, g, h, depth, max_depth, gamma_split, lambda_l2):
-    G, H = float(g.sum()), float(h.sum())
-    node_weight = leaf_weight(G, H, lambda_l2)
-    if depth >= max_depth or len(g) < 2:
-        return _BoostNode(weight=node_weight), [node_weight]
-    best_gain = 0.0
-    best = None
-    parent_score = _leaf_score(G, H, lambda_l2)
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        boundaries = np.where(xs[:-1] < xs[1:])[0]
-        if len(boundaries) == 0:
-            continue
-        gl = np.cumsum(g[order])[boundaries]
-        hl = np.cumsum(h[order])[boundaries]
+def _build_tree(X, g, h, max_depth, gamma_split, lambda_l2) -> Tree:
+    """Regression tree on gradients ``g`` and hessians ``h``; leaves hold weights.
+
+    Every feature is a candidate at every node, compared in index order;
+    each feature's best boundary is the first at its maximum gain.
+    """
+    gh = np.column_stack([g, h])
+
+    def node(Xn, rows, depth):
+        G, H = float(g[rows].sum()), float(h[rows].sum())
+        weight = leaf_weight(G, H, lambda_l2)
+        if depth >= max_depth or len(rows) < 2:
+            return weight, None
+        xs, boundary, sums = sorted_prefix_sums(Xn, gh[rows])
+        gl, hl = sums[..., 0], sums[..., 1]
         gains = 0.5 * (
             gl ** 2 / (hl + lambda_l2)
             + (G - gl) ** 2 / (H - hl + lambda_l2)
-            - parent_score
+            - _leaf_score(G, H, lambda_l2)
         ) - gamma_split
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain + 1e-15:
-            best_gain = float(gains[k])
-            best = (f, 0.5 * (xs[boundaries[k]] + xs[boundaries[k] + 1]))
-    if best is None:
-        return _BoostNode(weight=node_weight), [node_weight]
-    f, threshold = best
-    mask = X[:, f] <= threshold
-    left, lw = _build_tree(X[mask], g[mask], h[mask], depth + 1, max_depth, gamma_split, lambda_l2)
-    right, rw = _build_tree(X[~mask], g[~mask], h[~mask], depth + 1, max_depth, gamma_split, lambda_l2)
-    return _BoostNode(feature=int(f), threshold=float(threshold), left=left, right=right), lw + rw
+        gains = np.where(boundary, gains, -np.inf)
+        found = pick_split(xs, np.argmax(gains, axis=0), gains.max(axis=0))
+        return weight, None if found is None else found[:2]
 
-
-def _tree_predict(node: _BoostNode, X) -> np.ndarray:
-    out = np.empty(len(X))
-    for i, row in enumerate(X):
-        cur = node
-        while not cur.is_leaf:
-            cur = cur.left if row[cur.feature] <= cur.threshold else cur.right
-        out[i] = cur.weight
-    return out
+    return Tree.grow(X, node)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -156,13 +104,11 @@ class GradientBoostedTrees(Classifier):
             for c in range(C):
                 g = probs[:, c] - onehot[:, c]
                 h = probs[:, c] * (1.0 - probs[:, c])
-                tree, weights = _build_tree(
-                    X, g, h, 0, self.max_depth, self.gamma_split, self.lambda_l2
-                )
-                applied = self.learning_rate * _tree_predict(tree, X)
-                scores[:, c] += applied
+                tree = _build_tree(X, g, h, self.max_depth, self.gamma_split, self.lambda_l2)
+                scores[:, c] += self.learning_rate * tree.predict(X)
                 round_trees.append(tree)
-                shrunk = self.learning_rate * np.asarray(weights)
+                weights = tree.value[tree.feature < 0]
+                shrunk = self.learning_rate * weights
                 self._omega += self.gamma_split * len(weights)
                 self._omega += 0.5 * self.lambda_l2 * float(np.sum(shrunk ** 2))
             self.trees_.append(round_trees)
@@ -173,7 +119,7 @@ class GradientBoostedTrees(Classifier):
         scores = np.zeros((len(X), self.class_count))
         for round_trees in self.trees_:
             for c, tree in enumerate(round_trees):
-                scores[:, c] += self.learning_rate * _tree_predict(tree, X)
+                scores[:, c] += self.learning_rate * tree.predict(X)
         return scores
 
     def predict_proba(self, X) -> np.ndarray:
@@ -203,5 +149,5 @@ class GradientBoostedTrees(Classifier):
             seed=d["seed"],
         )
         model.class_count = d["class_count"]
-        model.trees_ = [[_BoostNode.from_dict(t) for t in rnd] for rnd in d["trees"]]
+        model.trees_ = [[Tree.from_dict(t) for t in rnd] for rnd in d["trees"]]
         return model

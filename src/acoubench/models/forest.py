@@ -3,46 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ParameterError
 from .base import Classifier
-
-
-@dataclass
-class _TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_TreeNode | None" = None
-    right: "_TreeNode | None" = None
-    class_counts: np.ndarray | None = None  # leaves only
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.class_counts is not None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"counts": self.class_counts.tolist()}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "_TreeNode":
-        if "counts" in d:
-            return cls(class_counts=np.array(d["counts"], dtype=float))
-        return cls(
-            feature=d["feature"],
-            threshold=d["threshold"],
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
-        )
+from .tree import Tree, pick_split, sorted_prefix_sums
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -54,42 +20,34 @@ def _gini(counts: np.ndarray) -> float:
 
 
 def _best_split(X, y, n_classes, feature_ids):
-    """Best (feature, threshold, gain) over candidate features.
+    """Best (feature, threshold, gain) over candidate features, or None.
 
     Thresholds are midpoints between consecutive distinct sorted values;
-    gain is the decrease in Gini impurity weighted by child sizes.
+    gain is the decrease in Gini impurity weighted by child sizes. Each
+    feature's best boundary is the first at the minimum weighted Gini;
+    features compete in draw order.
     """
     n = len(y)
     parent_counts = np.bincount(y, minlength=n_classes).astype(float)
     parent_gini = _gini(parent_counts)
-    best = (None, 0.0, 0.0)
-    onehot = np.eye(n_classes)[y]
-    for f in feature_ids:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        boundaries = np.where(xs[:-1] < xs[1:])[0]
-        if len(boundaries) == 0:
-            continue
-        left_counts = np.cumsum(onehot[order], axis=0)[boundaries]
-        left_n = boundaries + 1.0
-        right_counts = parent_counts - left_counts
-        right_n = n - left_n
-        pl = left_counts / left_n[:, None]
-        pr = right_counts / right_n[:, None]
-        gini_l = 1.0 - np.sum(pl * pl, axis=1)
-        gini_r = 1.0 - np.sum(pr * pr, axis=1)
-        weighted = (left_n * gini_l + right_n * gini_r) / n
-        k = int(np.argmin(weighted))
-        gain = parent_gini - weighted[k]
-        if gain > best[2] + 1e-15:
-            threshold = 0.5 * (xs[boundaries[k]] + xs[boundaries[k] + 1])
-            best = (f, float(threshold), float(gain))
-    return best
+    xs, boundary, left_counts = sorted_prefix_sums(X[:, feature_ids], np.eye(n_classes)[y])
+    left_n = np.arange(1.0, n)[:, None]
+    right_n = n - left_n
+    right_counts = parent_counts - left_counts
+    pl = left_counts / left_n[..., None]
+    pr = right_counts / right_n[..., None]
+    gini_l = 1.0 - np.sum(pl * pl, axis=-1)
+    gini_r = 1.0 - np.sum(pr * pr, axis=-1)
+    weighted = np.where(boundary, (left_n * gini_l + right_n * gini_r) / n, np.inf)
+    found = pick_split(xs, np.argmin(weighted, axis=0), parent_gini - weighted.min(axis=0))
+    if found is None:
+        return None
+    j, threshold, gain = found
+    return int(feature_ids[j]), threshold, gain
 
 
 class DecisionTree:
-    """Single CART-style classification tree."""
+    """Single CART-style classification tree; leaves hold class counts."""
 
     def __init__(self, max_depth: int = 16, min_samples_split: int = 2,
                  max_features: int | None = None, seed: int = 0):
@@ -101,45 +59,33 @@ class DecisionTree:
     def fit(self, X, y, n_classes: int):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
-        self.n_classes = n_classes
-        self.n_features = X.shape[1]
-        self.feature_importance = np.zeros(self.n_features)
+        d = X.shape[1]
+        self.feature_importance = np.zeros(d)
         rng = np.random.default_rng(self.seed)
-        self._n_total = len(y)
-        self.root = self._grow(X, y, depth=0, rng=rng)
+        m = min(self.max_features or d, d)
+
+        def node(Xn, rows, depth):
+            yn = y[rows]
+            counts = np.bincount(yn, minlength=n_classes).astype(float)
+            if (
+                depth >= self.max_depth
+                or len(yn) < self.min_samples_split
+                or np.count_nonzero(counts) <= 1
+            ):
+                return counts, None
+            feature_ids = rng.choice(d, size=m, replace=False)
+            found = _best_split(Xn, yn, n_classes, feature_ids)
+            if found is None:
+                return counts, None
+            feature, threshold, gain = found
+            self.feature_importance[feature] += gain * len(yn) / len(y)
+            return counts, (feature, threshold)
+
+        self.tree_ = Tree.grow(X, node)
         return self
 
-    def _grow(self, X, y, depth, rng):
-        counts = np.bincount(y, minlength=self.n_classes).astype(float)
-        if (
-            depth >= self.max_depth
-            or len(y) < self.min_samples_split
-            or np.count_nonzero(counts) <= 1
-        ):
-            return _TreeNode(class_counts=counts)
-        m = self.max_features or X.shape[1]
-        feature_ids = rng.choice(self.n_features, size=min(m, self.n_features), replace=False)
-        feature, threshold, gain = _best_split(X, y, self.n_classes, feature_ids)
-        if feature is None or gain <= 0:
-            return _TreeNode(class_counts=counts)
-        self.feature_importance[feature] += gain * len(y) / self._n_total
-        mask = X[:, feature] <= threshold
-        return _TreeNode(
-            feature=int(feature),
-            threshold=threshold,
-            left=self._grow(X[mask], y[mask], depth + 1, rng),
-            right=self._grow(X[~mask], y[~mask], depth + 1, rng),
-        )
-
     def predict_class(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty(len(X), dtype=int)
-        for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = int(np.argmax(node.class_counts))
-        return out
+        return np.argmax(self.tree_.predict(X), axis=1)
 
 
 def default_max_features(n_features: int) -> int:
@@ -203,11 +149,7 @@ class RandomForestClassifier(Classifier):
             "seed": self.seed,
             "class_count": self.class_count,
             "trees": [
-                {
-                    "root": tree.root.to_dict(),
-                    "importance": tree.feature_importance.tolist(),
-                    "n_features": tree.n_features,
-                }
+                {"tree": tree.tree_.to_dict(), "importance": tree.feature_importance.tolist()}
                 for tree in self.trees_
             ],
         }
@@ -224,9 +166,7 @@ class RandomForestClassifier(Classifier):
         model.trees_ = []
         for td in d["trees"]:
             tree = DecisionTree(max_depth=d["max_depth"])
-            tree.root = _TreeNode.from_dict(td["root"])
-            tree.n_classes = d["class_count"]
-            tree.n_features = td["n_features"]
+            tree.tree_ = Tree.from_dict(td["tree"])
             tree.feature_importance = np.array(td["importance"], dtype=float)
             model.trees_.append(tree)
         return model

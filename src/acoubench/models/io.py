@@ -14,7 +14,7 @@ from ..errors import ParameterError
 from ..registry import REGISTRY_VERSION
 
 FORMAT_TAG = "acoubench-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _kind_map():

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from acoubench.audio import AudioSignal
 from acoubench.bench import (
     ExperimentConfig,
     load_corpus,
@@ -214,6 +215,42 @@ class TestLoadCorpus:
             csv.writer(fh).writerow(["stereo.wav", 1])
         with pytest.raises(UnsupportedWavError, match="stereo.wav"):
             load_corpus(wav_dir, labels)
+
+    @staticmethod
+    def _add_clip(wav_dir, labels, name, samples, rate=16000.0):
+        write_wav(wav_dir / name, AudioSignal(samples, rate))
+        with open(labels, "a", newline="") as fh:
+            csv.writer(fh).writerow([name, 1])
+
+    def test_mixed_sample_rates_rejected_even_if_permissive(self, tmp_path):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        labels = tmp_path / "labels.csv"
+        labels.write_text("filename,label\n")
+        tone = np.sin(np.arange(8000) * 0.05) * 0.5
+        for name, rate in zip("abcd", (16000.0, 16000.0, 44100.0, 44100.0)):
+            self._add_clip(wav_dir, labels, f"{name}.wav", tone, rate)
+        for permissive in (False, True):
+            with pytest.raises(ParameterError, match=r"16000 Hz \(a.wav\) and 44100 Hz \(c.wav\)"):
+                load_corpus(wav_dir, labels, permissive=permissive)
+
+    @pytest.mark.parametrize(
+        "samples, reason",
+        [
+            (np.full(320, 0.25), "shorter than one 512-sample analysis window"),
+            (np.zeros(8000), "silent"),
+        ],
+        ids=["short", "silent"],
+    )
+    def test_unusable_clip_rejected_unless_permissive(self, corpus, samples, reason):
+        wav_dir, labels = corpus
+        self._add_clip(wav_dir, labels, "bad.wav", samples)
+        with pytest.raises(ParameterError, match=f"bad.wav: .*{reason}"):
+            load_corpus(wav_dir, labels)
+        with pytest.warns(UserWarning, match="skipped 1 files"):
+            ds = load_corpus(wav_dir, labels, permissive=True)
+        assert len(ds) == 3
+        assert reason in ds.provenance["skipped"]["bad.wav"]
 
     def test_malformed_csv_rejected(self, corpus, tmp_path):
         wav_dir, _ = corpus

@@ -16,10 +16,11 @@ class TestLeafWeights:
         probs = np.full(4, 0.5)  # uniform start for the binary softmax
         g = probs - (y == 1)
         h = probs * (1 - probs)
-        tree, weights = _build_tree(X, g, h, 0, 1, 0.0, lam)
-        assert not tree.is_leaf
+        tree = _build_tree(X, g, h, 1, 0.0, lam)
+        assert tree.feature[0] == 0
+        threshold = tree.threshold[0]
         grid = np.arange(-5.0, 5.0, 1e-4)
-        for mask in (X[:, 0] <= tree.threshold, X[:, 0] > tree.threshold):
+        for mask in (X[:, 0] <= threshold, X[:, 0] > threshold):
             gs, hs = g[mask].sum(), h[mask].sum()
             objective = gs * grid + 0.5 * hs * grid ** 2 + 0.5 * lam * grid ** 2
             want = grid[np.argmin(objective)]
@@ -37,7 +38,7 @@ class TestLeafWeights:
         X = rng.normal(size=(30, 3))
         y = rng.integers(0, 2, size=30)
         model = GradientBoostedTrees(n_rounds=3, gamma_split=1e9, seed=1).fit(X, y)
-        assert all(tree.is_leaf for rnd in model.trees_ for tree in rnd)
+        assert all(tree.feature.tolist() == [-1] for rnd in model.trees_ for tree in rnd)
 
 
 class TestTraining:

@@ -16,7 +16,8 @@ class TestDecisionTree:
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([1, 1, 1])
         tree = DecisionTree(seed=0).fit(X, y, 2)
-        assert tree.root.is_leaf
+        assert tree.tree_.feature.tolist() == [-1]
+        assert tree.tree_.value.tolist() == [[0.0, 3.0]]
 
 
 class TestRandomForest:

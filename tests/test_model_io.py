@@ -54,5 +54,17 @@ def test_dump_is_versioned(training_data, tmp_path):
     save_model(model, path)
     blob = json.loads(path.read_text())
     assert blob["format"] == "acoubench-model"
-    assert blob["format_version"] == 1
+    assert blob["format_version"] == 2
     assert blob["kind"] == "knn"
+
+
+def test_version_one_file_rejected(training_data, tmp_path):
+    X, y, _ = training_data
+    model = make_model(ModelSpec("gbt", params={"n_rounds": 2}, seed=1)).fit(X, y)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    blob = json.loads(path.read_text())
+    blob["format_version"] = 1
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ParameterError, match="unsupported format version"):
+        load_model(path)
