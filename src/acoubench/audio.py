@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fftcore import fft_core, is_pow2
 from .errors import DegenerateSignalError, ParameterError
 
 SUBTRACTION_WINDOW = 2048
@@ -170,7 +169,7 @@ def spectral_subtract(
         raise ParameterError(f"alpha must be in [1.0, 3.0], got {alpha}")
     if not 0.0 <= beta < 1.0:
         raise ParameterError(f"beta must be in [0, 1), got {beta}")
-    if not is_pow2(window_size):
+    if window_size < 1 or window_size & (window_size - 1):
         raise ParameterError("analysis window must be a power of two")
     if noise.bin_count != window_size:
         raise ParameterError(
@@ -188,12 +187,12 @@ def spectral_subtract(
     count = expected_frame_count(len(padded), window_size, hop)
     starts = np.arange(count) * hop
     frames = padded[starts[:, None] + np.arange(window_size)[None, :]]
-    spectra = fft_core(frames * hann_window(window_size))
+    spectra = np.fft.fft(frames * hann_window(window_size))
     mags = np.abs(spectra)
     cleaned = subtract_magnitudes(mags, noise.magnitude, alpha, beta)
     # Keep the noisy phase; bins with zero magnitude stay zero.
     phases = np.where(mags > 0, spectra / np.where(mags > 0, mags, 1.0), 0.0)
-    rebuilt = fft_core(cleaned * phases, inverse=True).real
+    rebuilt = np.fft.ifft(cleaned * phases).real
     out = overlap_add(rebuilt, hop, len(padded))[left : left + n]
     return noisy.replace_samples(out)
 
@@ -216,5 +215,5 @@ def estimate_noise_profile(
     count = expected_frame_count(head_len, window_size, hop)
     starts = np.arange(count) * hop
     frames = head[starts[:, None] + np.arange(window_size)[None, :]]
-    mags = np.abs(fft_core(frames * hann_window(window_size)))
+    mags = np.abs(np.fft.fft(frames * hann_window(window_size)))
     return NoiseProfile(magnitude=mags.mean(axis=0), bin_count=window_size)

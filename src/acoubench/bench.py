@@ -58,6 +58,14 @@ _PREPROCESS = {
 
 _NOISE_SEED_OFFSET = 777_000
 
+# keys each nested config block accepts
+_CONFIG_BLOCKS = {
+    "cv": {"n_folds", "holdout_fraction", "validation_fraction"},
+    "noise": {"levels_db"},
+    "timing": {"enabled", "repetitions"},
+    "stats": {"nemenyi_q_alpha"},
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -89,6 +97,10 @@ class ExperimentConfig:
             raise ParameterError("noise levels must be strictly decreasing")
         if levels and not self.holdout_fraction > 0:
             raise ParameterError("a noise sweep needs a hold-out split (holdout_fraction > 0)")
+        if self.timing_enabled and self.timing_repetitions < 3:
+            raise ParameterError(
+                f"timing.repetitions must be at least 3, got {self.timing_repetitions}"
+            )
         self.noise_levels_db = levels
         self.models = tuple(
             {"kind": m["kind"], "params": dict(m.get("params", {}))} for m in self.models
@@ -97,14 +109,18 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict, seed: int | None = None, output_dir: str | None = None):
         raw = dict(raw)
-        known = {"seed", "data", "preprocess", "models", "cv", "noise", "timing", "stats", "output_dir"}
+        known = {"seed", "data", "preprocess", "models", "output_dir", *_CONFIG_BLOCKS}
         unknown = set(raw) - known
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        cv = raw.pop("cv", {})
-        noise = raw.pop("noise", {})
-        timing = raw.pop("timing", {})
-        stats = raw.pop("stats", {})
+        for block, keys in _CONFIG_BLOCKS.items():
+            value = raw.setdefault(block, {})
+            if not isinstance(value, dict):
+                raise ParameterError(f"config block {block!r} must be an object")
+            unknown = set(value) - keys
+            if unknown:
+                raise ParameterError(f"unknown keys in config block {block!r}: {sorted(unknown)}")
+        cv, noise, timing, stats = raw["cv"], raw["noise"], raw["timing"], raw["stats"]
         return cls(
             seed=seed if seed is not None else raw.get("seed"),
             data=raw.get("data", {"source": "synthetic"}),
@@ -223,6 +239,12 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
     signals, raw_labels, skipped = [], [], {}
     file_at_rate = {}
     for row in rows:
+        try:
+            label = int(row["label"])
+        except (TypeError, ValueError):  # TypeError: the row has no label cell
+            raise ParameterError(
+                f"{labels_path}: label of {row['filename']} must be an integer, got {row['label']!r}"
+            ) from None
         path = directory / row["filename"]
         if not path.is_file():
             if permissive:
@@ -244,7 +266,7 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
                 continue
             raise ParameterError(f"{path}: {reason}")
         signals.append(signal)
-        raw_labels.append(int(row["label"]))
+        raw_labels.append(label)
     if skipped:
         listed = "; ".join(f"{name} ({why})" for name, why in list(skipped.items())[:5])
         warnings.warn(f"skipped {len(skipped)} files: {listed}")
@@ -329,19 +351,12 @@ def _fold_metrics(y_true, y_pred, probs, n_classes) -> dict:
     }
 
 
-def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
-    """Execute the full benchmark pipeline and assemble the report bundle."""
-    with _stage("config"):
-        specs = cfg.model_specs()
-        names = cfg.model_names()
-
+def _prepare(cfg: ExperimentConfig):
+    """The data, features and cv stages; returns (featurized dataset, fold plan)."""
     with _stage("data"):
         dataset = _build_dataset(cfg)
-
     with _stage("features"):
         dataset = _extract_features(cfg, dataset)
-        n_classes = dataset.n_classes
-
     with _stage("cv"):
         plan = stratified_kfold(
             dataset.labels,
@@ -350,6 +365,34 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
             holdout_fraction=cfg.holdout_fraction,
             validation_fraction=cfg.validation_fraction,
         )
+    return dataset, plan
+
+
+def _fit_final_models(cfg: ExperimentConfig, dataset: Dataset, plan):
+    """The final-models stage: every roster model fit on the whole CV split.
+
+    Returns (scaler, scaled CV features, CV labels, {name: fitted model}).
+    """
+    with _stage("final-models"):
+        cv_idx = np.where(plan.cv_mask)[0]
+        scaler = fit_scaler(dataset.features[cv_idx])
+        X_full = scaler.transform(dataset.features[cv_idx])
+        y_full = dataset.labels[cv_idx]
+        final_models = {
+            name: spec.build().fit(X_full, y_full)
+            for spec, name in zip(cfg.model_specs(), cfg.model_names())
+        }
+    return scaler, X_full, y_full, final_models
+
+
+def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
+    """Execute the full benchmark pipeline and assemble the report bundle."""
+    with _stage("config"):
+        specs = cfg.model_specs()
+        names = cfg.model_names()
+
+    dataset, plan = _prepare(cfg)
+    n_classes = dataset.n_classes
 
     with _stage("train-eval"):
         per_fold = {name: [] for name in names}
@@ -379,13 +422,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         )
         sig = significance_report(names, correctness, fold_f1)
 
-    with _stage("final-models"):
-        scaler = fit_scaler(dataset.features[cv_idx])
-        X_full = scaler.transform(dataset.features[cv_idx])
-        y_full = dataset.labels[cv_idx]
-        final_models = {
-            name: spec.build().fit(X_full, y_full) for spec, name in zip(specs, names)
-        }
+    scaler, X_full, y_full, final_models = _fit_final_models(cfg, dataset, plan)
 
     with _stage("importance"):
         importance = None
@@ -512,32 +549,12 @@ def run_noise_sweep(cfg: ExperimentConfig, levels_db=None):
         cfg = ExperimentConfig(
             **{**cfg.__dict__, "noise_levels_db": tuple(levels_db)}
         )
-    with _stage("data"):
-        dataset = _build_dataset(cfg)
-    with _stage("features"):
-        dataset = _extract_features(cfg, dataset)
-    with _stage("cv"):
-        plan = stratified_kfold(
-            dataset.labels,
-            cfg.n_folds,
-            seed=cfg.seed + 1,
-            holdout_fraction=cfg.holdout_fraction,
-            validation_fraction=cfg.validation_fraction,
-        )
-    with _stage("final-models"):
-        cv_idx = np.where(plan.cv_mask)[0]
-        scaler = fit_scaler(dataset.features[cv_idx])
-        X_full = scaler.transform(dataset.features[cv_idx])
-        y_full = dataset.labels[cv_idx]
-        names = cfg.model_names()
-        final_models = {
-            name: spec.build().fit(X_full, y_full)
-            for spec, name in zip(cfg.model_specs(), names)
-        }
+    dataset, plan = _prepare(cfg)
+    scaler, _, _, final_models = _fit_final_models(cfg, dataset, plan)
     with _stage("noise"):
         table, conditions = _noise_sweep(cfg, dataset, plan, scaler, final_models)
     indices = {name: robustness_index(values) for name, values in table.items()}
-    return names, conditions, table, indices
+    return cfg.model_names(), conditions, table, indices
 
 
 # ---------------------------------------------------------------------------

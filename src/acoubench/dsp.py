@@ -1,9 +1,10 @@
 """Spectral transforms and mid-level signal representations.
 
-Everything here is a pure function of its inputs: radix-2 FFT, power
-spectra, STFT spectrograms, mel filterbank cepstra, Daubechies wavelet
-subband energies and chroma folding. Filterbank and twiddle tables are
-cached read-only, so the kernels are safe to call from multiple threads.
+Everything here is a pure function of its inputs: FFTs (numpy's, at
+any length), power spectra, STFT spectrograms, mel filterbank cepstra,
+Daubechies wavelet subband energies and chroma folding. Filterbank and
+DCT tables are cached read-only, so the kernels are safe to call from
+multiple threads.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fftcore import fft_core, is_pow2, next_pow2
 from .audio import AudioSignal, frame_signal, hann_window
 from .errors import ParameterError
 
@@ -43,6 +43,14 @@ __all__ = [
 # FFT
 # ---------------------------------------------------------------------------
 
+def next_pow2(n: int) -> int:
+    """Smallest power of two >= n."""
+    p = 1
+    while p < n:
+        p *= 2
+    return p
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Complex DFT bins of a single frame or signal.
@@ -61,24 +69,17 @@ class Spectrum:
 
 
 def fft(x: np.ndarray, sample_rate_hz: float = 1.0) -> Spectrum:
-    """DFT of a real (or complex) sequence whose length is a power of two.
-
-    Callers zero-pad to a power of two themselves; a non-power-of-two
-    length is an error, not an implicit pad.
-    """
+    """DFT of a real (or complex) 1-D sequence of any non-zero length."""
     x = np.asarray(x)
-    if x.ndim != 1:
-        raise ParameterError("fft expects a 1-D sequence")
+    if x.ndim != 1 or len(x) == 0:
+        raise ParameterError("fft expects a non-empty 1-D sequence")
     n = len(x)
-    if not is_pow2(n):
-        raise ParameterError(f"FFT length must be a power of two, got {n}")
-    bins = fft_core(x)
-    return Spectrum(bins=bins, bin_hz=sample_rate_hz / n, size=n)
+    return Spectrum(bins=np.fft.fft(x), bin_hz=sample_rate_hz / n, size=n)
 
 
 def ifft(spectrum: Spectrum) -> np.ndarray:
-    """Inverse DFT; returns the complex time sequence."""
-    return fft_core(spectrum.bins, inverse=True)
+    """Inverse DFT, including the 1/n scaling; returns the complex time sequence."""
+    return np.fft.ifft(spectrum.bins)
 
 
 def power_spectrum(spectrum: Spectrum) -> np.ndarray:
@@ -118,13 +119,7 @@ def stft(x: AudioSignal, window_size: int, hop: int) -> Spectrogram:
     """
     frames = frame_signal(x, window_size, hop).frames
     nfft = next_pow2(window_size)
-    windowed = frames * hann_window(window_size)
-    if nfft > window_size:
-        pad = np.zeros((frames.shape[0], nfft - window_size))
-        windowed = np.hstack([windowed, pad])
-    spec = fft_core(windowed)
-    half = nfft // 2 + 1
-    power = np.abs(spec[:, :half]) ** 2
+    power = np.abs(np.fft.rfft(frames * hann_window(window_size), n=nfft)) ** 2
     starts = np.arange(frames.shape[0]) * hop
     times = (starts + window_size / 2.0) / x.sample_rate_hz
     return Spectrogram(power=power, frame_times_s=times, bin_hz=x.sample_rate_hz / nfft)

@@ -187,13 +187,9 @@ class _SignalContext:
     def full_spectrum(self):
         """One-sided power spectrum of the whole (zero-padded) signal."""
         if self._full_power is None:
-            samples = self.x.samples
-            nfft = dsp.next_pow2(len(samples))
-            padded = np.zeros(nfft)
-            padded[: len(samples)] = samples
-            spec = dsp.fft(padded, self.x.sample_rate_hz)
-            self._full_power = dsp.power_spectrum(spec)
-            self._full_freqs = np.arange(nfft // 2 + 1) * spec.bin_hz
+            nfft = dsp.next_pow2(len(self.x.samples))
+            self._full_power = np.abs(np.fft.rfft(self.x.samples, n=nfft)) ** 2
+            self._full_freqs = np.arange(nfft // 2 + 1) * (self.x.sample_rate_hz / nfft)
         return self._full_power, self._full_freqs
 
     @property
@@ -215,10 +211,12 @@ class _SignalContext:
 # time-domain group (35)
 # ---------------------------------------------------------------------------
 
-def _standardized_moment(x, mean, std, order):
+def _standardized_moments(x, mean, std, orders):
+    """E[((x - mean) / std) ** k] for each k in ``orders``; zeros when std is 0."""
     if std == 0:
-        return 0.0
-    return float(np.mean(((x - mean) / std) ** order))
+        return [0.0] * len(orders)
+    z = (x - mean) / std
+    return [float(np.mean(z ** k)) for k in orders]
 
 
 def time_features(x: AudioSignal) -> np.ndarray:
@@ -235,10 +233,7 @@ def time_features(x: AudioSignal) -> np.ndarray:
     mean_abs = float(abs_s.mean())
     energy = float(np.sum(s ** 2))
 
-    skew = _standardized_moment(s, mean, std, 3)
-    kurt = _standardized_moment(s, mean, std, 4)
-    m5 = _standardized_moment(s, mean, std, 5)
-    m6 = _standardized_moment(s, mean, std, 6)
+    skew, kurt, m5, m6 = _standardized_moments(s, mean, std, (3, 4, 5, 6))
 
     crest = peak / rms if rms > 0 else 0.0
     shape = rms / mean_abs if mean_abs > 0 else 0.0
@@ -408,8 +403,8 @@ def timefreq_features(x: AudioSignal, _ctx: _SignalContext | None = None) -> np.
 
     frame_power = power.sum(axis=1)
     values += [float(frame_power.mean()), float(frame_power.std()), float(frame_power.max())]
-    values.append(
-        _standardized_moment(frame_power, float(frame_power.mean()), float(frame_power.std()), 3)
+    values += _standardized_moments(
+        frame_power, float(frame_power.mean()), float(frame_power.std()), (3,)
     )
 
     mod_freq, mod_strength = _modulation_peak(frame_power, x.sample_rate_hz / ctx.hop)
@@ -446,15 +441,12 @@ def _modulation_peak(trajectory: np.ndarray, frame_rate_hz: float) -> tuple[floa
     if len(centered) < 4 or np.allclose(centered, 0):
         return 0.0, 0.0
     nfft = dsp.next_pow2(len(centered))
-    padded = np.zeros(nfft)
-    padded[: len(centered)] = centered
-    spec = dsp.fft(padded, frame_rate_hz)
-    p = dsp.power_spectrum(spec)[1:]  # skip the (zero) DC bin
+    p = (np.abs(np.fft.rfft(centered, n=nfft)) ** 2)[1:]  # skip the (zero) DC bin
     total = p.sum()
     if total == 0:
         return 0.0, 0.0
     k = int(np.argmax(p)) + 1
-    return float(k * spec.bin_hz), float(p[k - 1] / total)
+    return float(k * (frame_rate_hz / nfft)), float(p[k - 1] / total)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,22 @@ class TestConfig:
         with pytest.raises(ParameterError, match="modles"):
             ExperimentConfig.from_dict({"modles": []}, seed=1)
 
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            ({"cv": {"n_fold": 3}}, r"block 'cv': \['n_fold'\]"),
+            ({"noise": {"level_db": [20.0]}}, r"block 'noise': \['level_db'\]"),
+            ({"timing": {"repetition": 5}}, r"block 'timing': \['repetition'\]"),
+            ({"stats": {"nemenyi_q": 2.85}}, r"block 'stats': \['nemenyi_q'\]"),
+            ({"cv": 5}, "block 'cv' must be an object"),
+            ({"timing": {"repetitions": 2}}, "repetitions must be at least 3, got 2"),
+        ],
+        ids=["cv", "noise", "timing", "stats", "not-an-object", "two-repetitions"],
+    )
+    def test_bad_config_block_rejected(self, raw, match):
+        with pytest.raises(ParameterError, match=match):
+            ExperimentConfig.from_dict(raw, seed=1)
+
     def test_optional_nemenyi_constant_lands_in_friedman_csv(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {**TINY, "stats": {"nemenyi_q_alpha": 2.85}}, seed=19,
@@ -251,6 +267,21 @@ class TestLoadCorpus:
             ds = load_corpus(wav_dir, labels, permissive=True)
         assert len(ds) == 3
         assert reason in ds.provenance["skipped"]["bad.wav"]
+
+    def test_non_integer_label_fails_with_cli_message(self, corpus, tmp_path, capsys):
+        wav_dir, labels = corpus
+        with open(labels, "a", newline="") as fh:
+            csv.writer(fh).writerow(["sample_0.wav", "healthy"])
+        rc = cli_main(
+            [
+                "extract", "--wav-dir", str(wav_dir), "--labels", str(labels),
+                "--out", str(tmp_path / "features.csv"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [cli] {labels}: label of sample_0.wav")
+        assert "'healthy'" in err
 
     def test_malformed_csv_rejected(self, corpus, tmp_path):
         wav_dir, _ = corpus

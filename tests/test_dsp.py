@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acoubench.audio import AudioSignal
+from acoubench.audio import AudioSignal, frame_signal, hann_window
 from acoubench.dsp import (
     Spectrogram,
     Spectrum,
@@ -19,18 +19,7 @@ from acoubench.dsp import (
 )
 from acoubench.errors import ParameterError
 
-from conftest import SR, make_noise, make_tone
-
-
-def direct_dft(x: np.ndarray) -> np.ndarray:
-    """O(n^2) DFT by definition; the independence anchor for the FFT."""
-    x = np.asarray(x, dtype=complex)
-    n = len(x)
-    out = np.empty(n, dtype=complex)
-    idx = np.arange(n)
-    for k in range(n):
-        out[k] = np.sum(x * np.exp(-2j * np.pi * k * idx / n))
-    return out
+from conftest import SR, direct_dft, make_noise, make_tone
 
 
 class TestFFT:
@@ -43,14 +32,11 @@ class TestFFT:
         np.testing.assert_allclose(spec.bins, [4.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_matches_direct_dft(self, rng):
-        x = rng.normal(size=64)
-        got = fft(x).bins
-        want = direct_dft(x)
-        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-9
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ParameterError):
-            fft(np.ones(48))
+        for n in (64, 48):
+            x = rng.normal(size=n)
+            got = fft(x).bins
+            want = direct_dft(x)
+            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-9
 
     def test_ifft_round_trip_and_parseval(self, rng):
         for n in (64, 256, 1024, 4096):
@@ -112,6 +98,18 @@ class TestSTFT:
         np.testing.assert_array_equal(
             stft(sig, 512, 256).power, stft(flipped, 512, 256).power
         )
+
+    @pytest.mark.parametrize("window", [512, 300])
+    def test_power_matches_direct_dft_of_padded_windowed_frames(self, window):
+        sig = make_noise(duration_s=0.125, seed=7)
+        sgram = stft(sig, window, window // 2)
+        frames = frame_signal(sig, window, window // 2).frames
+        assert sgram.power.shape == (len(frames), 257)
+        for row, frame in zip(sgram.power, frames):
+            padded = np.zeros(512)
+            padded[:window] = frame * hann_window(window)
+            want = np.abs(direct_dft(padded)[:257]) ** 2
+            assert np.linalg.norm(row - want) <= 1e-9 * np.linalg.norm(want)
 
     def test_non_pow2_window_zero_padded(self):
         sgram = stft(make_noise(seed=5), 300, 150)

@@ -7,6 +7,7 @@ from acoubench.dsp import dwt_energies
 from acoubench.errors import ParameterError
 from acoubench.features import (
     FeatureVector,
+    _SignalContext,
     extract_all,
     extract_matrix,
     freq_features,
@@ -28,7 +29,7 @@ from acoubench.registry import (
     save_registry_csv,
 )
 
-from conftest import SR, make_noise, make_tone
+from conftest import SR, direct_dft, make_noise, make_tone
 
 # (name, domain) pairs that the published importance ranking names; the
 # registry must resolve every one of them.
@@ -172,6 +173,16 @@ class TestFreqFeatures:
         ratios = values[10:18]
         assert np.all(ratios >= 0)
         assert ratios.sum() <= 1.0 + 1e-9
+
+    def test_full_spectrum_matches_direct_dft_of_padded_clip(self):
+        sig = AudioSignal(np.random.default_rng(8).normal(size=1000), SR)
+        power, freqs = _SignalContext(sig).full_spectrum
+        padded = np.zeros(1024)
+        padded[:1000] = sig.samples
+        want = np.abs(direct_dft(padded)[:513]) ** 2
+        assert power.shape == freqs.shape == (513,)
+        assert np.linalg.norm(power - want) <= 1e-9 * np.linalg.norm(want)
+        assert freqs[1] == pytest.approx(SR / 1024)
 
 
 class TestTimeFreqFeatures:
