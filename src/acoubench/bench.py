@@ -36,7 +36,7 @@ from .evaluation import (
     stratified_kfold,
 )
 from .features import extract_matrix
-from .models import ModelSpec, measure_timing
+from .models import ModelSpec, measure_timing, resolved_params
 from .registry import REGISTRY, REGISTRY_VERSION
 from .synth import GeneratorConfig, add_noise_at_snr, generate_dataset, robustness_index
 from .wavio import read_wav
@@ -65,6 +65,11 @@ _CONFIG_BLOCKS = {
     "timing": {"enabled", "repetitions"},
     "stats": {"nemenyi_q_alpha"},
 }
+# keys the data block accepts, per source
+_DATA_KEYS = {
+    "synthetic": {"source", "samples_per_class", "duration_s", "sample_rate_hz", "generator"},
+    "wav": {"source", "directory", "labels_csv", "permissive"},
+}
 
 
 @dataclass
@@ -90,6 +95,14 @@ class ExperimentConfig:
         self.seed = int(self.seed)
         if not self.models:
             raise ParameterError("at least one model must be configured")
+        if not isinstance(self.data, dict):
+            raise ParameterError("config block 'data' must be an object")
+        source = self.data.get("source", "synthetic")
+        if source not in _DATA_KEYS:
+            raise ParameterError(f"unknown data source {source!r}")
+        unknown = set(self.data) - _DATA_KEYS[source]
+        if unknown:
+            raise ParameterError(f"unknown keys in config block 'data': {sorted(unknown)}")
         if self.preprocess not in _PREPROCESS:
             raise ParameterError(f"unknown preprocess mode {self.preprocess!r}")
         levels = tuple(float(v) for v in (self.noise_levels_db or ()))
@@ -220,7 +233,7 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
     shorter than the analysis window and an all-zero clip abort the load
     unless ``permissive`` is set, in which case they are skipped and
     listed with their reasons in ``provenance["skipped"]``. Files at
-    different sample rates are always rejected, never resampled.
+    different sample rates and a file listed twice are always rejected.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -238,6 +251,7 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
 
     signals, raw_labels, skipped = [], [], {}
     file_at_rate = {}
+    listed_label = {}
     for row in rows:
         try:
             label = int(row["label"])
@@ -245,6 +259,12 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
             raise ParameterError(
                 f"{labels_path}: label of {row['filename']} must be an integer, got {row['label']!r}"
             ) from None
+        if row["filename"] in listed_label:
+            raise ParameterError(
+                f"{labels_path}: {row['filename']} is listed twice, with labels "
+                f"{listed_label[row['filename']]} and {label}"
+            )
+        listed_label[row["filename"]] = label
         path = directory / row["filename"]
         if not path.is_file():
             if permissive:
@@ -319,13 +339,11 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
             **gen_kwargs,
         )
         return generate_dataset(gen)
-    if source == "wav":
-        return load_corpus(
-            cfg.data["directory"],
-            cfg.data["labels_csv"],
-            permissive=cfg.data.get("permissive", False),
-        )
-    raise ParameterError(f"unknown data source {source!r}")
+    return load_corpus(
+        cfg.data["directory"],
+        cfg.data["labels_csv"],
+        permissive=cfg.data.get("permissive", False),
+    )
 
 
 def _extract_features(cfg: ExperimentConfig, dataset: Dataset) -> Dataset:
@@ -368,21 +386,46 @@ def _prepare(cfg: ExperimentConfig):
     return dataset, plan
 
 
+def _roster_key(spec: ModelSpec):
+    """Kind and resolved params, what an ensemble member shares with the entry it adopts."""
+    if spec.kind == "ensemble":
+        return None
+    return spec.kind, tuple(sorted(resolved_params(spec).items()))
+
+
+def _fit_roster(specs, X, y) -> list:
+    """Fit every roster model on (X, y) once; returns the fitted models in roster order.
+
+    The non-ensemble entries are fitted first. An ensemble member whose kind
+    and resolved params equal a roster entry's votes with that entry's
+    fitted model (its own seed then does not apply); any other member is
+    fitted on the same rows from its own spec.
+    """
+    fitted = [None if spec.kind == "ensemble" else spec.build().fit(X, y) for spec in specs]
+    by_key = {}
+    for spec, model in zip(specs, fitted):
+        if model is not None:
+            by_key.setdefault(_roster_key(spec), model)
+    for i, spec in enumerate(specs):
+        if spec.kind == "ensemble":
+            ensemble = spec.build()
+            ensemble.adopt(by_key.get(_roster_key(member)) for member in ensemble.member_specs)
+            fitted[i] = ensemble.fit(X, y)
+    return fitted
+
+
 def _fit_final_models(cfg: ExperimentConfig, dataset: Dataset, plan):
     """The final-models stage: every roster model fit on the whole CV split.
 
-    Returns (scaler, scaled CV features, CV labels, {name: fitted model}).
+    Returns (scaler, scaled CV features, {name: fitted model}).
     """
     with _stage("final-models"):
         cv_idx = np.where(plan.cv_mask)[0]
         scaler = fit_scaler(dataset.features[cv_idx])
         X_full = scaler.transform(dataset.features[cv_idx])
-        y_full = dataset.labels[cv_idx]
-        final_models = {
-            name: spec.build().fit(X_full, y_full)
-            for spec, name in zip(cfg.model_specs(), cfg.model_names())
-        }
-    return scaler, X_full, y_full, final_models
+        fitted = _fit_roster(cfg.model_specs(), X_full, dataset.labels[cv_idx])
+        final_models = dict(zip(cfg.model_names(), fitted))
+    return scaler, X_full, final_models
 
 
 def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
@@ -396,6 +439,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
 
     with _stage("train-eval"):
         per_fold = {name: [] for name in names}
+        fit_seconds = {name: [] for name in names}
         oof_pred = {name: np.full(len(dataset), -1) for name in names}
         row_fold = np.full(len(dataset), -1)
         for fold, (train_idx, test_idx) in enumerate(plan.iter_folds()):
@@ -405,8 +449,8 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
             y_train = dataset.labels[train_idx]
             y_test = dataset.labels[test_idx]
             row_fold[test_idx] = fold
-            for spec, name in zip(specs, names):
-                model = spec.build().fit(X_train, y_train)
+            for name, model in zip(names, _fit_roster(specs, X_train, y_train)):
+                fit_seconds[name].append(model.training_seconds)
                 probs = model.predict_proba(X_test)
                 pred = np.argmax(probs, axis=1)
                 per_fold[name].append(_fold_metrics(y_test, pred, probs, n_classes))
@@ -422,7 +466,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         )
         sig = significance_report(names, correctness, fold_f1)
 
-    scaler, X_full, y_full, final_models = _fit_final_models(cfg, dataset, plan)
+    scaler, X_full, final_models = _fit_final_models(cfg, dataset, plan)
 
     with _stage("importance"):
         importance = None
@@ -449,10 +493,10 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         with _stage("timing"):
             timing = {
                 name: measure_timing(
-                    spec.build, X_full, y_full, X_full[: max(1, len(X_full) // 4)],
+                    fit_seconds[name], final_models[name], X_full[: max(1, len(X_full) // 4)],
                     repetitions=cfg.timing_repetitions,
                 )
-                for spec, name in zip(specs, names)
+                for name in names
             }
 
     with _stage("report"):
@@ -487,6 +531,12 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
             "noise_levels_db": ",".join(str(v) for v in cfg.noise_levels_db),
             "preprocess": cfg.preprocess,
         }
+        skipped = dataset.provenance.get("skipped")
+        if skipped is not None:  # the corpus came from load_corpus
+            manifest["skipped_files"] = len(skipped)
+            manifest["skipped"] = "; ".join(
+                f"{name} ({skipped[name]})" for name in sorted(skipped)
+            )
         prediction_rows = [
             (int(i), int(row_fold[i]), int(dataset.labels[i])) for i in cv_idx
         ]
@@ -550,7 +600,7 @@ def run_noise_sweep(cfg: ExperimentConfig, levels_db=None):
             **{**cfg.__dict__, "noise_levels_db": tuple(levels_db)}
         )
     dataset, plan = _prepare(cfg)
-    scaler, _, _, final_models = _fit_final_models(cfg, dataset, plan)
+    scaler, _, final_models = _fit_final_models(cfg, dataset, plan)
     with _stage("noise"):
         table, conditions = _noise_sweep(cfg, dataset, plan, scaler, final_models)
     indices = {name: robustness_index(values) for name, values in table.items()}

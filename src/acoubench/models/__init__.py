@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 from ..errors import ParameterError
 from .base import MODEL_KINDS, Classifier, ModelSpec, validate_probabilities
 from .boosting import GradientBoostedTrees
@@ -35,6 +37,7 @@ __all__ = [
     "measure_timing",
     "TimingReport",
     "make_model",
+    "resolved_params",
 ]
 
 _CLASSES = {
@@ -65,3 +68,17 @@ def make_model(spec: ModelSpec) -> Classifier:
     if "hidden" in params:
         params["hidden"] = tuple(params["hidden"])
     return _CLASSES[spec.kind](seed=spec.seed, **params)
+
+
+def resolved_params(spec: ModelSpec) -> dict:
+    """The spec's hyperparameters with the constructor defaults filled in, seed left out.
+
+    Two specs with equal kind and resolved params build the same model up
+    to its seed. Ensembles are not resolved: their members are specs.
+    """
+    if spec.kind not in _CLASSES:
+        raise ParameterError(f"cannot resolve the params of a {spec.kind!r} spec")
+    bound = inspect.signature(_CLASSES[spec.kind]).bind_partial(**spec.params)
+    bound.apply_defaults()
+    bound.arguments.pop("seed")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in bound.arguments.items()}

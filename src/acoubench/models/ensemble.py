@@ -28,11 +28,12 @@ def ensemble_predict_proba(members, weights, X) -> np.ndarray:
 
 
 class SoftVotingEnsemble(Classifier):
-    """Owns its member models and fits them on the same training data.
+    """Fits its member models on the same training data and soft-votes them.
 
     The default roster pairs the forest's noise resistance with the
     boosted trees' non-linear fit and the SVM's handling of
-    high-dimensional features.
+    high-dimensional features. Members fitted elsewhere on the same rows
+    can be handed over with ``adopt``; ``fit`` then trains only the rest.
     """
 
     kind = "ensemble"
@@ -56,9 +57,38 @@ class SoftVotingEnsemble(Classifier):
                 raise ParameterError("one weight per member is required")
             if np.any(self.weights < 0) or not np.any(self.weights > 0):
                 raise ParameterError("weights must be >= 0 and not all zero")
+        self.adopted = [None] * len(self.member_specs)
+
+    def adopt(self, fitted) -> "SoftVotingEnsemble":
+        """Vote with already-fitted models in place of training those members.
+
+        ``fitted`` lines up with the member specs: a model fitted on the
+        rows this ensemble will be fitted on, or None for a member that
+        ``fit`` trains from its spec. Every later ``fit`` uses them as they are.
+        """
+        fitted = list(fitted)
+        if len(fitted) != len(self.member_specs):
+            raise ParameterError("adopt needs one entry per member spec")
+        self.adopted = fitted
+        return self
+
+    def fit(self, X, y):
+        """Fit the members not adopted; training_seconds includes the adopted members' fits."""
+        super().fit(X, y)
+        self.training_seconds += sum(m.training_seconds for m in self.adopted if m is not None)
+        return self
 
     def _fit(self, X, y):
-        self.members_ = [spec.build().fit(X, y) for spec in self.member_specs]
+        for member in self.adopted:
+            if member is not None and member.class_count != self.class_count:
+                raise ParameterError(
+                    f"adopted {member.kind} has class count {member.class_count}, "
+                    f"the training labels have {self.class_count}"
+                )
+        self.members_ = [
+            spec.build().fit(X, y) if member is None else member
+            for spec, member in zip(self.member_specs, self.adopted)
+        ]
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_fitted()

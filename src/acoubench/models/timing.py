@@ -12,11 +12,11 @@ from ..errors import ParameterError
 
 @dataclass(frozen=True)
 class TimingReport:
-    training_seconds: float  # median over repetitions
-    training_cv: float  # coefficient of variation across repetitions
-    prediction_ms_per_sample: float  # median over repetitions
+    training_seconds: float  # median over the recorded fits
+    training_cv: float  # coefficient of variation across the recorded fits
+    prediction_ms_per_sample: float  # median over the prediction repetitions
     prediction_cv: float
-    repetitions: int
+    repetitions: int  # prediction repetitions
 
 
 def _cv(values: np.ndarray) -> float:
@@ -24,23 +24,22 @@ def _cv(values: np.ndarray) -> float:
     return float(values.std() / mean) if mean > 0 else 0.0
 
 
-def measure_timing(model_factory, X_train, y_train, X_query, repetitions: int = 3) -> TimingReport:
-    """Median wall-clock cost of a fresh fit and of batch prediction.
+def measure_timing(fit_seconds, model, X_query, repetitions: int = 3) -> TimingReport:
+    """Training cost from recorded fits, and the median cost of batch prediction.
 
-    ``model_factory`` must return an unfitted model so every repetition
-    trains from scratch.
+    ``fit_seconds`` holds the ``training_seconds`` that ``Classifier.fit``
+    recorded for fits of this model; nothing is refitted. ``model`` is a
+    fitted model whose ``predict_proba`` is timed ``repetitions`` times on
+    ``X_query``.
     """
     if repetitions < 3:
         raise ParameterError("need at least 3 repetitions for a meaningful median")
+    train_times = np.asarray(fit_seconds, dtype=float)
+    if train_times.size == 0:
+        raise ParameterError("need at least one recorded fit")
     X_query = np.atleast_2d(np.asarray(X_query, dtype=float))
-    train_times = np.empty(repetitions)
     predict_times = np.empty(repetitions)
-    model = None
     for r in range(repetitions):
-        model = model_factory()
-        start = time.perf_counter()
-        model.fit(X_train, y_train)
-        train_times[r] = time.perf_counter() - start
         start = time.perf_counter()
         model.predict_proba(X_query)
         predict_times[r] = time.perf_counter() - start

@@ -9,6 +9,9 @@ import pytest
 from acoubench.audio import AudioSignal
 from acoubench.bench import (
     ExperimentConfig,
+    _fit_final_models,
+    _fit_roster,
+    _prepare,
     load_corpus,
     run_experiment,
     run_noise_sweep,
@@ -17,6 +20,7 @@ from acoubench.bench import (
 )
 from acoubench.cli import main as cli_main
 from acoubench.errors import ParameterError, PipelineStageError, UnsupportedWavError
+from acoubench.models import Classifier
 from acoubench.synth import FaultClass, GeneratorConfig, generate_sample, robustness_index
 from acoubench.wavio import write_wav
 
@@ -70,8 +74,20 @@ class TestConfig:
             ({"stats": {"nemenyi_q": 2.85}}, r"block 'stats': \['nemenyi_q'\]"),
             ({"cv": 5}, "block 'cv' must be an object"),
             ({"timing": {"repetitions": 2}}, "repetitions must be at least 3, got 2"),
+            (
+                {"data": {"source": "synthetic", "samples_per_clas": 2}},
+                r"block 'data': \['samples_per_clas'\]",
+            ),
+            (
+                {"data": {"source": "wav", "directory": "d", "labels_csv": "l.csv",
+                          "duration_s": 1.0}},
+                r"block 'data': \['duration_s'\]",
+            ),
+            ({"data": {"source": "flac"}}, "unknown data source 'flac'"),
+            ({"data": "synthetic"}, "block 'data' must be an object"),
         ],
-        ids=["cv", "noise", "timing", "stats", "not-an-object", "two-repetitions"],
+        ids=["cv", "noise", "timing", "stats", "not-an-object", "two-repetitions",
+             "data-synthetic", "data-wav", "data-source", "data-not-an-object"],
     )
     def test_bad_config_block_rejected(self, raw, match):
         with pytest.raises(ParameterError, match=match):
@@ -132,6 +148,7 @@ class TestRunExperiment:
         assert bundle.manifest["config_hash"] == cfg.config_hash()
         assert bundle.manifest["seed"] == 77
         assert bundle.manifest["registry_version"] == "1.0"
+        assert "skipped_files" not in bundle.manifest  # a synthetic corpus skips nothing
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
@@ -170,6 +187,100 @@ class TestNoiseSweep:
         for name in names:
             assert len(table[name]) == 3
             assert indices[name] == pytest.approx(robustness_index(table[name]))
+
+
+SMALL_SVM = {"kernel": "rbf", "C": 10.0}
+SMALL_RF = {"n_trees": 5, "max_depth": 6}
+SMALL_GBT = {"n_rounds": 3, "max_depth": 2}
+ADOPTING = {
+    **TINY,
+    "timing": {"enabled": True, "repetitions": 3},
+    "models": [
+        {"kind": "knn", "params": {"k": 3}},
+        {"kind": "svm", "params": SMALL_SVM},
+        {"kind": "rf", "params": SMALL_RF},
+        {"kind": "gbt", "params": SMALL_GBT},
+        {
+            "kind": "ensemble",
+            "params": {
+                "members": [
+                    {"kind": "svm", "params": SMALL_SVM, "seed": 9},
+                    {"kind": "rf", "params": SMALL_RF, "seed": 10},
+                    {"kind": "gbt", "params": SMALL_GBT, "seed": 11},
+                ]
+            },
+        },
+    ],
+}
+
+
+class TestRosterFits:
+    def test_every_model_is_fitted_once_per_training_set(self, monkeypatch):
+        calls = []
+        fit = Classifier.fit
+
+        def counting_fit(model, X, y):
+            calls.append(model.kind)
+            return fit(model, X, y)
+
+        monkeypatch.setattr(Classifier, "fit", counting_fit)
+        cfg = ExperimentConfig.from_dict(ADOPTING, seed=23)
+        bundle = run_experiment(cfg)
+        assert bundle.timing is not None and bundle.noise_table is not None
+        assert len(calls) == len(cfg.models) * (cfg.n_folds + 1)
+        assert sorted(set(calls)) == ["ensemble", "gbt", "knn", "rf", "svm"]
+
+    def test_final_ensemble_votes_with_the_final_roster_models(self):
+        cfg = ExperimentConfig.from_dict(ADOPTING, seed=23)
+        dataset, plan = _prepare(cfg)
+        _, _, final = _fit_final_models(cfg, dataset, plan)
+        members = final["ensemble"].members_
+        assert [m is final[kind] for m, kind in zip(members, ("svm", "rf", "gbt"))] == [True] * 3
+
+    def test_member_without_roster_match_is_fitted_with_its_own_seed(self, rng):
+        cfg = ExperimentConfig.from_dict(
+            {
+                "models": [
+                    {"kind": "knn", "params": {"k": 7}},
+                    {"kind": "rf", "params": SMALL_RF},
+                    {
+                        "kind": "ensemble",
+                        "params": {
+                            "members": [
+                                {"kind": "knn", "params": {"k": 3}, "seed": 5},
+                                {"kind": "rf", "params": SMALL_RF, "seed": 6},
+                            ]
+                        },
+                    },
+                ]
+            },
+            seed=1,
+        )
+        X = rng.normal(size=(40, 4))
+        y = (X[:, 0] > 0).astype(int)
+        knn, rf, ensemble = _fit_roster(cfg.model_specs(), X, y)
+        own_knn, adopted_rf = ensemble.members_
+        assert own_knn is not knn
+        assert (own_knn.k, own_knn.seed) == (3, 5)
+        assert adopted_rf is rf and rf.seed != 6
+
+    def test_default_ensemble_adopts_entries_spelling_out_the_defaults(self, rng):
+        cfg = ExperimentConfig.from_dict(
+            {
+                "models": [
+                    {"kind": "svm", "params": {"kernel": "rbf", "C": 10.0, "degree": 3}},
+                    {"kind": "rf", "params": {"n_trees": 60, "max_depth": 16}},
+                    {"kind": "gbt", "params": {"n_rounds": 60, "learning_rate": 0.3,
+                                               "max_depth": 3, "lambda_l2": 1.0}},
+                    {"kind": "ensemble", "params": {}},
+                ]
+            },
+            seed=2,
+        )
+        X = rng.normal(size=(30, 3))
+        y = (X[:, 1] > 0).astype(int)
+        svm, rf, gbt, ensemble = _fit_roster(cfg.model_specs(), X, y)
+        assert [m is r for m, r in zip(ensemble.members_, (svm, rf, gbt))] == [True] * 3
 
 
 class TestLoadCorpus:
@@ -216,6 +327,14 @@ class TestLoadCorpus:
             ds = load_corpus(wav_dir, labels, permissive=True)
         assert len(ds) == 3
         assert "ghost.wav" in ds.provenance["skipped"]
+
+    def test_file_listed_twice_rejected_even_if_permissive(self, corpus):
+        wav_dir, labels = corpus
+        with open(labels, "a", newline="") as fh:
+            csv.writer(fh).writerow(["sample_0.wav", 1])
+        for permissive in (False, True):
+            with pytest.raises(ParameterError, match="sample_0.wav is listed twice, with labels 0 and 1"):
+                load_corpus(wav_dir, labels, permissive=permissive)
 
     def test_stereo_file_rejected_with_filename(self, corpus):
         import wave
@@ -267,6 +386,41 @@ class TestLoadCorpus:
             ds = load_corpus(wav_dir, labels, permissive=True)
         assert len(ds) == 3
         assert reason in ds.provenance["skipped"]["bad.wav"]
+
+    def test_skipped_files_land_in_the_manifest(self, tmp_path):
+        wav_dir = tmp_path / "corpus"
+        cli_main(
+            [
+                "synth", "--out", str(wav_dir), "--seed", "3",
+                "--samples-per-class", "2", "--duration", "0.5",
+            ]
+        )
+        labels = wav_dir / "labels.csv"
+        self._add_clip(wav_dir, labels, "short.wav", np.full(320, 0.25))
+        self._add_clip(wav_dir, labels, "quiet.wav", np.zeros(8000))
+        cfg = ExperimentConfig.from_dict(
+            {
+                "data": {"source": "wav", "directory": str(wav_dir),
+                         "labels_csv": str(labels), "permissive": True},
+                "cv": {"n_folds": 2, "holdout_fraction": 0.0},
+                "noise": {"levels_db": []},
+                "timing": {"enabled": False},
+                "models": [
+                    {"kind": "knn", "params": {"k": 1}},
+                    {"kind": "knn", "params": {"k": 2}},
+                ],
+            },
+            seed=4,
+        )
+        with pytest.warns(UserWarning, match="skipped 2 files"):
+            bundle = run_experiment(cfg)
+        write_bundle(bundle, tmp_path / "out")
+        lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        assert "skipped_files=2" in lines
+        assert (
+            "skipped=quiet.wav (silent: every sample is zero); "
+            "short.wav (320 samples, shorter than one 512-sample analysis window)"
+        ) in lines
 
     def test_non_integer_label_fails_with_cli_message(self, corpus, tmp_path, capsys):
         wav_dir, labels = corpus

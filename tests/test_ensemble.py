@@ -92,6 +92,14 @@ class TestSoftVotingEnsemble:
         with pytest.raises(ParameterError):
             SoftVotingEnsemble(weights=[0.0, 0.0, 0.0])
 
+    def test_adopted_member_must_share_the_class_count(self, rng):
+        X = rng.normal(size=(30, 3))
+        specs = [ModelSpec("knn", {"k": 3}), ModelSpec("knn", {"k": 5})]
+        three_class = specs[0].build().fit(X, np.arange(30) % 3)
+        ensemble = SoftVotingEnsemble(member_specs=specs).adopt([three_class, None])
+        with pytest.raises(ParameterError, match="adopted knn has class count 3"):
+            ensemble.fit(X, np.arange(30) % 2)
+
 
 class TestProbabilityContract:
     """Every model's output must be a valid probability vector, at scale."""
