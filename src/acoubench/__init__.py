@@ -2,14 +2,22 @@
 
 __version__ = "0.1.0"
 
-from .audio import (  # noqa: F401
-    AudioSignal,
-    NoiseProfile,
-    normalize_amplitude,
-    normalize_rms,
-    spectral_subtract,
-)
-from .dataset import Dataset  # noqa: F401
-from .features import FeatureVector, extract_all  # noqa: F401
-from .registry import REGISTRY, REGISTRY_VERSION  # noqa: F401
-from .synth import FaultClass, GeneratorConfig, generate_dataset  # noqa: F401
+from .audio import AudioSignal, normalize_amplitude, normalize_rms
+from .dataset import Dataset
+from .features import FeatureVector, extract_all
+from .registry import REGISTRY, REGISTRY_VERSION
+from .synth import FaultClass, GeneratorConfig, generate_dataset
+
+__all__ = [
+    "AudioSignal",
+    "normalize_amplitude",
+    "normalize_rms",
+    "Dataset",
+    "FeatureVector",
+    "extract_all",
+    "REGISTRY",
+    "REGISTRY_VERSION",
+    "FaultClass",
+    "GeneratorConfig",
+    "generate_dataset",
+]

@@ -1,9 +1,9 @@
 """Waveform representation and preprocessing.
 
-Holds the core ``AudioSignal`` type plus the standard cleanup chain:
-spectral subtraction with a noise floor, amplitude and RMS
-normalization, and the framing/overlap-add machinery the frequency
-analysis is built on. All functions are pure; signals are immutable.
+Holds the core ``AudioSignal`` type, the two normalizations a run can
+apply before extraction (peak amplitude and RMS), and the framing and
+Hann window the spectral analysis in :mod:`acoubench.dsp` is built on.
+All functions are pure; signals are immutable.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSignalError, ParameterError
-
-SUBTRACTION_WINDOW = 2048
-SPECTRAL_FLOOR_DEFAULT = 0.01
-NOISE_ESTIMATE_SECONDS = 0.25
 
 
 def _as_locked_array(samples) -> np.ndarray:
@@ -70,21 +66,6 @@ class FrameSequence:
         return self.frames.shape[0]
 
 
-@dataclass(frozen=True)
-class NoiseProfile:
-    """Magnitude spectrum of the background noise, one value per FFT bin."""
-
-    magnitude: np.ndarray
-    bin_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "magnitude", _as_locked_array(self.magnitude))
-        if self.magnitude.shape != (self.bin_count,):
-            raise ParameterError("magnitude length must equal bin_count")
-        if np.any(self.magnitude < 0):
-            raise ParameterError("noise magnitudes must be non-negative")
-
-
 def expected_frame_count(n_samples: int, window_size: int, hop: int) -> int:
     return (n_samples - window_size) // hop + 1
 
@@ -112,18 +93,6 @@ def hann_window(window_size: int) -> np.ndarray:
     return w
 
 
-def overlap_add(frames: np.ndarray, hop: int, length: int) -> np.ndarray:
-    """Overlap-add rows of ``frames`` at the given hop into a length-N buffer."""
-    count, window_size = frames.shape
-    out = np.zeros(length)
-    for m in range(count):
-        start = m * hop
-        stop = min(start + window_size, length)
-        if stop > start:
-            out[start:stop] += frames[m, : stop - start]
-    return out
-
-
 def normalize_amplitude(x: AudioSignal) -> AudioSignal:
     """Scale so the maximum absolute sample is exactly 1."""
     peak = np.max(np.abs(x.samples))
@@ -138,82 +107,3 @@ def normalize_rms(x: AudioSignal) -> AudioSignal:
     if rms == 0:
         raise DegenerateSignalError("cannot RMS-normalize an all-zero signal")
     return x.replace_samples(x.samples / rms)
-
-
-def subtract_magnitudes(
-    noisy_mag: np.ndarray, noise_mag: np.ndarray, alpha: float, beta: float
-) -> np.ndarray:
-    """Magnitude rule of spectral subtraction with a spectral floor.
-
-    |S_clean| = max(|S_noisy| - alpha * |N|, beta * |S_noisy|); beta = 0
-    recovers plain over-subtraction clamped at zero.
-    """
-    return np.maximum(noisy_mag - alpha * noise_mag, beta * noisy_mag)
-
-
-def spectral_subtract(
-    noisy: AudioSignal,
-    noise: NoiseProfile,
-    alpha: float,
-    beta: float = SPECTRAL_FLOOR_DEFAULT,
-    window_size: int = SUBTRACTION_WINDOW,
-) -> AudioSignal:
-    """Remove stationary background noise by over-subtracting its spectrum.
-
-    Each Hann-windowed frame (50% overlap) has ``alpha`` times the noise
-    magnitude removed per bin, clamped at ``beta`` times the noisy
-    magnitude; the noisy phase is kept and the frames are resynthesized
-    by overlap-add. Output length and sample rate match the input.
-    """
-    if not 1.0 <= alpha <= 3.0:
-        raise ParameterError(f"alpha must be in [1.0, 3.0], got {alpha}")
-    if not 0.0 <= beta < 1.0:
-        raise ParameterError(f"beta must be in [0, 1), got {beta}")
-    if window_size < 1 or window_size & (window_size - 1):
-        raise ParameterError("analysis window must be a power of two")
-    if noise.bin_count != window_size:
-        raise ParameterError(
-            f"noise profile has {noise.bin_count} bins, analysis FFT size is {window_size}"
-        )
-
-    n = len(noisy.samples)
-    hop = window_size // 2
-    # Pad so every original sample is covered by a full complement of
-    # overlapping frames; the pads are sliced away after resynthesis.
-    left = window_size
-    right = window_size + (-(left + n - window_size)) % hop
-    padded = np.concatenate([np.zeros(left), noisy.samples, np.zeros(right)])
-
-    count = expected_frame_count(len(padded), window_size, hop)
-    starts = np.arange(count) * hop
-    frames = padded[starts[:, None] + np.arange(window_size)[None, :]]
-    spectra = np.fft.fft(frames * hann_window(window_size))
-    mags = np.abs(spectra)
-    cleaned = subtract_magnitudes(mags, noise.magnitude, alpha, beta)
-    # Keep the noisy phase; bins with zero magnitude stay zero.
-    phases = np.where(mags > 0, spectra / np.where(mags > 0, mags, 1.0), 0.0)
-    rebuilt = np.fft.ifft(cleaned * phases).real
-    out = overlap_add(rebuilt, hop, len(padded))[left : left + n]
-    return noisy.replace_samples(out)
-
-
-def estimate_noise_profile(
-    x: AudioSignal,
-    duration_s: float = NOISE_ESTIMATE_SECONDS,
-    window_size: int = SUBTRACTION_WINDOW,
-) -> NoiseProfile:
-    """Mean magnitude spectrum over the leading ``duration_s`` of a recording.
-
-    Convenience constructor for recordings whose opening stretch is
-    fault-free ambiance.
-    """
-    head_len = min(len(x.samples), max(window_size, round(duration_s * x.sample_rate_hz)))
-    head = x.samples[:head_len]
-    if head_len < window_size:
-        raise ParameterError("signal shorter than one analysis window")
-    hop = window_size // 2
-    count = expected_frame_count(head_len, window_size, hop)
-    starts = np.arange(count) * hop
-    frames = head[starts[:, None] + np.arange(window_size)[None, :]]
-    mags = np.abs(np.fft.fft(frames * hann_window(window_size)))
-    return NoiseProfile(magnitude=mags.mean(axis=0), bin_count=window_size)

@@ -72,6 +72,33 @@ _DATA_KEYS = {
 }
 
 
+def _roster_entry(index: int, entry) -> dict:
+    """One ``models`` entry as {"kind", "params"}, its keys and hyperparameter names checked.
+
+    An ensemble's own params are checked by building it (its members are
+    specs with kind, params and seed); every other model's, and each
+    member's, by resolving them against the model's constructor.
+    """
+    where = f"models[{index}]"
+    if not isinstance(entry, dict):
+        raise ParameterError(f"{where} must be an object, got {entry!r}")
+    unknown = set(entry) - {"kind", "params"}
+    if unknown:
+        raise ParameterError(f"unknown keys in {where}: {sorted(unknown)}")
+    if "kind" not in entry:
+        raise ParameterError(f"{where} has no 'kind'")
+    params = entry.get("params", {})
+    if not isinstance(params, dict):
+        raise ParameterError(f"{where}: 'params' must be an object, got {params!r}")
+    try:
+        spec = ModelSpec(kind=entry["kind"], params=params)
+        for member in spec.build().member_specs if spec.kind == "ensemble" else [spec]:
+            resolved_params(member)
+    except (ParameterError, TypeError) as exc:
+        raise ParameterError(f"{where}: {exc}") from None
+    return {"kind": entry["kind"], "params": dict(params)}
+
+
 @dataclass
 class ExperimentConfig:
     """Validated benchmark configuration; the CLI builds it from JSON."""
@@ -93,6 +120,8 @@ class ExperimentConfig:
         if self.seed is None:
             raise ParameterError("a seed is mandatory")
         self.seed = int(self.seed)
+        if not isinstance(self.models, (list, tuple)):
+            raise ParameterError(f"config key 'models' must be a list, got {self.models!r}")
         if not self.models:
             raise ParameterError("at least one model must be configured")
         if not isinstance(self.data, dict):
@@ -115,9 +144,7 @@ class ExperimentConfig:
                 f"timing.repetitions must be at least 3, got {self.timing_repetitions}"
             )
         self.noise_levels_db = levels
-        self.models = tuple(
-            {"kind": m["kind"], "params": dict(m.get("params", {}))} for m in self.models
-        )
+        self.models = tuple(_roster_entry(i, m) for i, m in enumerate(self.models))
 
     @classmethod
     def from_dict(cls, raw: dict, seed: int | None = None, output_dir: str | None = None):
@@ -138,7 +165,7 @@ class ExperimentConfig:
             seed=seed if seed is not None else raw.get("seed"),
             data=raw.get("data", {"source": "synthetic"}),
             preprocess=raw.get("preprocess", "rms"),
-            models=tuple(raw.get("models", DEFAULT_MODEL_ROSTER)),
+            models=raw.get("models", DEFAULT_MODEL_ROSTER),
             n_folds=cv.get("n_folds", 5),
             holdout_fraction=cv.get("holdout_fraction", 0.2),
             validation_fraction=cv.get("validation_fraction", 0.0),
@@ -227,13 +254,15 @@ def _unusable_reason(signal) -> str | None:
 
 
 def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
-    """WAV directory + labels CSV -> extracted Dataset.
+    """WAV directory + labels CSV -> Dataset of checked signals, no features yet.
 
     The CSV needs 'filename' and 'label' columns. A missing file, a clip
     shorter than the analysis window and an all-zero clip abort the load
     unless ``permissive`` is set, in which case they are skipped and
     listed with their reasons in ``provenance["skipped"]``. Files at
     different sample rates and a file listed twice are always rejected.
+    Extraction is the caller's: the features stage of a run, or
+    ``acoubench extract``, featurizes each clip once.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -296,7 +325,7 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
     classes = sorted(set(raw_labels))
     dense = {c: i for i, c in enumerate(classes)}
     labels = np.array([dense[c] for c in raw_labels])
-    ds = Dataset(
+    return Dataset(
         labels=labels,
         signals=signals,
         provenance={
@@ -307,7 +336,6 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
             "skipped": skipped,
         },
     )
-    return ds.with_features(extract_matrix(signals), registry_version=REGISTRY_VERSION)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +376,6 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 def _extract_features(cfg: ExperimentConfig, dataset: Dataset) -> Dataset:
     prep = _PREPROCESS[cfg.preprocess]
-    if dataset.features is not None and cfg.preprocess == "none":
-        return dataset
-    if dataset.signals is None:
-        raise ParameterError("dataset retains no signals; cannot re-extract")
     processed = [prep(s) for s in dataset.signals]
     return dataset.with_features(extract_matrix(processed), registry_version=REGISTRY_VERSION)
 
@@ -563,8 +587,6 @@ def _noise_sweep(cfg, dataset, plan, scaler, final_models):
     hold_idx = np.where(plan.holdout_mask)[0]
     if len(hold_idx) == 0:
         raise ParameterError("noise sweep needs a hold-out split (holdout_fraction > 0)")
-    if dataset.signals is None:
-        raise ParameterError("noise sweep needs retained raw signals")
     prep = _PREPROCESS[cfg.preprocess]
     y_hold = dataset.labels[hold_idx]
     n_classes = dataset.n_classes

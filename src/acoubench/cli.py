@@ -29,7 +29,7 @@ from .bench import (
     write_csv,
 )
 from .errors import AcoubenchError, PipelineStageError
-from .features import save_feature_csv
+from .features import extract_matrix, save_feature_csv
 from .registry import save_registry_csv
 from .synth import FaultClass, GeneratorConfig, generate_dataset
 from .wavio import write_wav
@@ -70,9 +70,10 @@ def _cmd_extract(args) -> int:
     from .bench import load_corpus
 
     dataset = load_corpus(args.wav_dir, args.labels, permissive=args.permissive)
+    features = extract_matrix(dataset.signals)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_feature_csv(out, dataset.features, labels=dataset.labels)
+    save_feature_csv(out, features, labels=dataset.labels)
     registry_path = out.with_name("registry.csv")
     save_registry_csv(registry_path)
     print(f"wrote {len(dataset)} feature rows to {out} (registry: {registry_path})")

@@ -43,19 +43,6 @@ class Dataset:
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
-    def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices)
-        if indices.dtype == bool:
-            indices = np.where(indices)[0]
-        return Dataset(
-            labels=self.labels[indices],
-            features=None if self.features is None else self.features[indices],
-            signals=None if self.signals is None else [self.signals[i] for i in indices],
-            seeds=None if self.seeds is None else np.asarray(self.seeds)[indices],
-            provenance=dict(self.provenance),
-            registry_version=self.registry_version,
-        )
-
     def with_features(self, features, registry_version=None) -> "Dataset":
         return replace(
             self,
@@ -77,6 +64,8 @@ class Scaler:
 
 def fit_scaler(features: np.ndarray) -> Scaler:
     features = np.asarray(features, dtype=float)
+    if len(features) == 0:
+        raise ParameterError("cannot fit a scaler on an empty feature matrix")
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std = np.where(std == 0, 1.0, std)  # constant columns pass through as zeros

@@ -1,10 +1,10 @@
 """Spectral transforms and mid-level signal representations.
 
-Everything here is a pure function of its inputs: FFTs (numpy's, at
-any length), power spectra, STFT spectrograms, mel filterbank cepstra,
-Daubechies wavelet subband energies and chroma folding. Filterbank and
-DCT tables are cached read-only, so the kernels are safe to call from
-multiple threads.
+Everything here is a pure function of its inputs: Hann-windowed STFT
+power spectrograms (``numpy.fft``), mel-frequency cepstra of a
+spectrogram, Daubechies wavelet subband energies and chroma folding.
+Filterbank and DCT tables are cached read-only, so the kernels are safe
+to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -20,18 +20,12 @@ from .errors import ParameterError
 LOG_ENERGY_FLOOR = 1e-10
 
 __all__ = [
-    "Spectrum",
     "Spectrogram",
     "WaveletDecomposition",
     "next_pow2",
-    "fft",
-    "ifft",
-    "power_spectrum",
     "stft",
     "mel_filterbank",
-    "mfcc_frames",
     "mfcc_from_spectrogram",
-    "mfcc",
     "default_window_size",
     "dwt_energies",
     "chroma_vector",
@@ -40,7 +34,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# FFT
+# STFT
 # ---------------------------------------------------------------------------
 
 def next_pow2(n: int) -> int:
@@ -50,47 +44,6 @@ def next_pow2(n: int) -> int:
         p *= 2
     return p
 
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex DFT bins of a single frame or signal.
-
-    ``bin_hz`` is the frequency step between adjacent bins,
-    ``sample_rate / size``.
-    """
-
-    bins: np.ndarray
-    bin_hz: float
-    size: int
-
-    def __post_init__(self):
-        if self.bins.shape != (self.size,):
-            raise ParameterError("spectrum bins must have exactly `size` entries")
-
-
-def fft(x: np.ndarray, sample_rate_hz: float = 1.0) -> Spectrum:
-    """DFT of a real (or complex) 1-D sequence of any non-zero length."""
-    x = np.asarray(x)
-    if x.ndim != 1 or len(x) == 0:
-        raise ParameterError("fft expects a non-empty 1-D sequence")
-    n = len(x)
-    return Spectrum(bins=np.fft.fft(x), bin_hz=sample_rate_hz / n, size=n)
-
-
-def ifft(spectrum: Spectrum) -> np.ndarray:
-    """Inverse DFT, including the 1/n scaling; returns the complex time sequence."""
-    return np.fft.ifft(spectrum.bins)
-
-
-def power_spectrum(spectrum: Spectrum) -> np.ndarray:
-    """One-sided power spectrum P[k] = |X[k]|^2, k = 0..size/2."""
-    half = spectrum.size // 2 + 1
-    return np.abs(spectrum.bins[:half]) ** 2
-
-
-# ---------------------------------------------------------------------------
-# STFT
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Spectrogram:
@@ -169,37 +122,14 @@ def _dct_ii_matrix(n_out: int, n_in: int) -> np.ndarray:
     return mat
 
 
-def mfcc_frames(
-    x: AudioSignal,
-    n_coeffs: int = 13,
-    n_filters: int = 26,
-    window_size: int | None = None,
-    hop: int | None = None,
-) -> np.ndarray:
-    """Per-frame mel-frequency cepstral coefficients, shape [frames, n_coeffs].
-
-    Pipeline per frame: one-sided power spectrum -> triangular mel
-    filterbank (0 Hz to Nyquist) -> log with a floor of 1e-10 ->
-    orthonormal DCT-II -> first ``n_coeffs`` coefficients.
-    """
-    if window_size is None:
-        window_size = default_window_size(x.sample_rate_hz)
-    if hop is None:
-        hop = window_size // 2
-    if len(x.samples) < window_size:
-        raise ParameterError(
-            f"signal too short for MFCC: {len(x.samples)} samples < window {window_size}"
-        )
-    return mfcc_from_spectrogram(stft(x, window_size, hop), x.sample_rate_hz, n_coeffs, n_filters)
-
-
 def mfcc_from_spectrogram(
     spec: Spectrogram, sample_rate_hz: float, n_coeffs: int = 13, n_filters: int = 26
 ) -> np.ndarray:
-    """Per-frame MFCCs of an existing power spectrogram, shape [frames, n_coeffs].
+    """Per-frame mel-frequency cepstral coefficients, shape [frames, n_coeffs].
 
-    The mel filterbank -> log -> DCT-II half of :func:`mfcc_frames`, for
-    callers that already hold the STFT.
+    Takes the one-sided power spectrogram from :func:`stft`; per frame:
+    triangular mel filterbank (0 Hz to Nyquist) -> log with a floor of
+    1e-10 -> orthonormal DCT-II -> first ``n_coeffs`` coefficients.
     """
     if n_coeffs < 1 or n_coeffs > n_filters:
         raise ParameterError("n_coeffs must be in 1..n_filters")
@@ -208,11 +138,6 @@ def mfcc_from_spectrogram(
     energies = spec.power @ bank.T
     log_energies = np.log(np.maximum(energies, LOG_ENERGY_FLOOR))
     return log_energies @ _dct_ii_matrix(n_coeffs, n_filters).T
-
-
-def mfcc(x: AudioSignal, n_coeffs: int = 13, **kwargs) -> np.ndarray:
-    """Per-frame mean of the first ``n_coeffs`` MFCCs."""
-    return mfcc_frames(x, n_coeffs=n_coeffs, **kwargs).mean(axis=0)
 
 
 def default_window_size(sample_rate_hz: float) -> int:

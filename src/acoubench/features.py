@@ -17,7 +17,6 @@ import numpy as np
 
 from . import dsp
 from .audio import AudioSignal
-from .dataset import Dataset, Scaler, fit_scaler
 from .errors import ParameterError
 from .registry import FEATURE_COUNT, REGISTRY_VERSION, feature_names
 
@@ -465,18 +464,6 @@ def extract_all(x: AudioSignal) -> FeatureVector:
 def extract_matrix(signals) -> np.ndarray:
     """Feature matrix [n_signals, 127]; rows follow input order."""
     return np.vstack([extract_all(sig).values for sig in signals])
-
-
-def standardize(train: Dataset, apply_to: Dataset) -> tuple[Dataset, Dataset, Scaler]:
-    """Z-score both datasets using statistics fitted on `train` only."""
-    if train.features is None or len(train) == 0:
-        raise ParameterError("training dataset must be non-empty with features")
-    scaler = fit_scaler(train.features)
-    return (
-        train.with_features(scaler.transform(train.features)),
-        apply_to.with_features(scaler.transform(apply_to.features)),
-        scaler,
-    )
 
 
 def save_feature_csv(path, features: np.ndarray, labels=None) -> None:

@@ -74,11 +74,15 @@ def resolved_params(spec: ModelSpec) -> dict:
     """The spec's hyperparameters with the constructor defaults filled in, seed left out.
 
     Two specs with equal kind and resolved params build the same model up
-    to its seed. Ensembles are not resolved: their members are specs.
+    to its seed. Ensembles are not resolved: their members are specs. A
+    param the constructor does not take, seed included, is rejected.
     """
     if spec.kind not in _CLASSES:
         raise ParameterError(f"cannot resolve the params of a {spec.kind!r} spec")
-    bound = inspect.signature(_CLASSES[spec.kind]).bind_partial(**spec.params)
+    try:
+        bound = inspect.signature(_CLASSES[spec.kind]).bind_partial(seed=spec.seed, **spec.params)
+    except TypeError as exc:
+        raise ParameterError(f"{spec.kind} params: {exc}") from None
     bound.apply_defaults()
     bound.arguments.pop("seed")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in bound.arguments.items()}

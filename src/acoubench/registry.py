@@ -15,8 +15,6 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParameterError
-
 REGISTRY_VERSION = "1.0"
 
 TIME = "time"
@@ -155,8 +153,6 @@ def _entries():
 REGISTRY: tuple[FeatureEntry, ...] = _entries()
 FEATURE_COUNT = len(REGISTRY)
 
-_BY_NAME = {entry.name: entry for entry in REGISTRY}
-
 
 def _validate_registry():
     if FEATURE_COUNT != 127:
@@ -164,7 +160,7 @@ def _validate_registry():
     counts = {d: sum(1 for entry in REGISTRY if entry.domain == d) for d in DOMAINS}
     if counts != DOMAIN_BUDGET:
         raise AssertionError(f"domain budget violated: {counts}")
-    if len(_BY_NAME) != FEATURE_COUNT:
+    if len({entry.name for entry in REGISTRY}) != FEATURE_COUNT:
         raise AssertionError("feature names must be unique")
     for i, entry in enumerate(REGISTRY):
         if entry.id != i:
@@ -172,19 +168,6 @@ def _validate_registry():
 
 
 _validate_registry()
-
-
-def entry_by_name(name: str) -> FeatureEntry:
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise ParameterError(f"unknown feature name: {name!r}") from None
-
-
-def domain_ids(domain: str) -> list[int]:
-    if domain not in DOMAINS:
-        raise ParameterError(f"unknown domain: {domain!r}")
-    return [entry.id for entry in REGISTRY if entry.domain == domain]
 
 
 def feature_names() -> list[str]:
@@ -200,13 +183,3 @@ def save_registry_csv(path) -> None:
         for entry in REGISTRY:
             writer.writerow([entry.id, entry.name, entry.domain, entry.description])
 
-
-def load_registry_csv(path) -> tuple[str, list[tuple[int, str, str]]]:
-    """Read back (version, [(id, name, domain), ...]) from a registry CSV."""
-    with open(Path(path), newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "# registry_version":
-        raise ParameterError(f"{path}: missing registry version header")
-    version = rows[0][1]
-    body = [(int(r[0]), r[1], r[2]) for r in rows[2:]]
-    return version, body

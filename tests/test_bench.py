@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from acoubench import features
 from acoubench.audio import AudioSignal
 from acoubench.bench import (
     ExperimentConfig,
@@ -85,9 +86,35 @@ class TestConfig:
             ),
             ({"data": {"source": "flac"}}, "unknown data source 'flac'"),
             ({"data": "synthetic"}, "block 'data' must be an object"),
+            ({"models": {"kind": "knn"}}, "'models' must be a list"),
+            ({"models": ["knn"]}, r"models\[0\] must be an object"),
+            ({"models": [{"kind": "knn", "parms": {"k": 3}}]},
+             r"unknown keys in models\[0\]: \['parms'\]"),
+            ({"models": [{"params": {"k": 3}}]}, r"models\[0\] has no 'kind'"),
+            ({"models": [{"kind": "rf"}, {"kind": "knn", "params": {"kk": 3}}]},
+             r"models\[1\]: knn params: .*'kk'"),
+            ({"models": [{"kind": "knn", "params": {"seed": 3}}]},
+             r"models\[0\]: knn params: .*'seed'"),
+            (
+                {"models": [{"kind": "ensemble", "params": {"members": [
+                    {"kind": "knn", "params": {"k": 3}, "seed": 5},
+                    {"kind": "rf", "params": {"n_tree": 5}, "seed": 6},
+                ]}}]},
+                r"models\[0\]: rf params: .*'n_tree'",
+            ),
+            (
+                {"models": [{"kind": "ensemble", "params": {"members": [
+                    {"kind": "knn", "parms": {"k": 3}, "seed": 5},
+                ]}}]},
+                r"models\[0\]: .*'parms'",
+            ),
+            ({"models": [{"kind": "ensemble", "params": {"member": []}}]},
+             r"models\[0\]: .*'member'"),
         ],
         ids=["cv", "noise", "timing", "stats", "not-an-object", "two-repetitions",
-             "data-synthetic", "data-wav", "data-source", "data-not-an-object"],
+             "data-synthetic", "data-wav", "data-source", "data-not-an-object",
+             "models-not-a-list", "model-not-an-object", "model-key", "model-without-kind",
+             "model-param", "model-param-seed", "member-param", "member-key", "ensemble-param"],
     )
     def test_bad_config_block_rejected(self, raw, match):
         with pytest.raises(ParameterError, match=match):
@@ -283,31 +310,70 @@ class TestRosterFits:
         assert [m is r for m, r in zip(ensemble.members_, (svm, rf, gbt))] == [True] * 3
 
 
+def write_corpus(root, per_class=1):
+    """Half-second clips of three classes as WAV files plus labels.csv.
+
+    Clip k of class c is sample_<c * per_class + k>.wav, generated with
+    that number as its seed; returns (WAV directory, labels CSV).
+    """
+    cfg = GeneratorConfig(samples_per_class=per_class, duration_s=0.5)
+    wav_dir = root / "wavs"
+    wav_dir.mkdir()
+    rows = [["filename", "label"]]
+    for cls in (FaultClass.NORMAL, FaultClass.MODERATE_FAULT, FaultClass.CRITICAL_FAULT):
+        for k in range(int(cls) * per_class, (int(cls) + 1) * per_class):
+            sig = generate_sample(cls, k, cfg)
+            peak = np.max(np.abs(sig.samples))
+            scaled = sig.replace_samples(sig.samples / (peak * 1.01))
+            name = f"sample_{k}.wav"
+            write_wav(wav_dir / name, scaled)
+            rows.append([name, int(cls)])
+    labels = root / "labels.csv"
+    with open(labels, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return wav_dir, labels
+
+
 class TestLoadCorpus:
     @pytest.fixture
     def corpus(self, tmp_path):
-        cfg = GeneratorConfig(samples_per_class=1, duration_s=0.5)
-        wav_dir = tmp_path / "wavs"
-        wav_dir.mkdir()
-        rows = [["filename", "label"]]
-        for cls in (FaultClass.NORMAL, FaultClass.MODERATE_FAULT, FaultClass.CRITICAL_FAULT):
-            sig = generate_sample(cls, int(cls), cfg)
-            peak = np.max(np.abs(sig.samples))
-            scaled = sig.replace_samples(sig.samples / (peak * 1.01))
-            name = f"sample_{int(cls)}.wav"
-            write_wav(wav_dir / name, scaled)
-            rows.append([name, int(cls)])
-        labels = tmp_path / "labels.csv"
-        with open(labels, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        return wav_dir, labels
+        return write_corpus(tmp_path)
 
     def test_loads_and_extracts(self, corpus):
         wav_dir, labels = corpus
         ds = load_corpus(wav_dir, labels)
         assert len(ds) == 3
-        assert ds.features.shape == (3, 127)
+        # loading reads and checks the clips; the features stage extracts them
+        assert ds.features is None
+        assert [len(sig) for sig in ds.signals] == [8000] * 3
         np.testing.assert_array_equal(ds.labels, [0, 1, 2])  # densified
+
+    def test_each_clip_is_extracted_once(self, tmp_path, monkeypatch):
+        calls = []
+        extract_all = features.extract_all
+
+        def counting_extract_all(signal):
+            calls.append(len(signal))
+            return extract_all(signal)
+
+        monkeypatch.setattr(features, "extract_all", counting_extract_all)
+        wav_dir, labels = write_corpus(tmp_path, per_class=4)
+        cfg = ExperimentConfig.from_dict(
+            {
+                "data": {"source": "wav", "directory": str(wav_dir), "labels_csv": str(labels)},
+                "preprocess": "rms",
+                "cv": {"n_folds": 2, "holdout_fraction": 0.25},
+                "noise": {"levels_db": [20.0, 10.0]},
+                "timing": {"enabled": False},
+                "models": [{"kind": "knn", "params": {"k": 1}}, {"kind": "knn", "params": {"k": 2}}],
+            },
+            seed=8,
+        )
+        bundle = run_experiment(cfg)
+        holdout = bundle.manifest["holdout_samples"]
+        assert holdout == 3
+        # every clip once in the features stage, the hold-out once per sweep condition
+        assert len(calls) == 12 + (1 + 2) * holdout
 
     def test_empty_directory_rejected(self, tmp_path):
         empty = tmp_path / "empty"

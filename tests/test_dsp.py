@@ -4,75 +4,18 @@ import pytest
 from acoubench.audio import AudioSignal, frame_signal, hann_window
 from acoubench.dsp import (
     Spectrogram,
-    Spectrum,
     chroma_mean,
     chroma_vector,
+    default_window_size,
     dwt_energies,
-    fft,
-    ifft,
     mel_filterbank,
-    mfcc,
-    mfcc_frames,
+    mfcc_from_spectrogram,
     next_pow2,
-    power_spectrum,
     stft,
 )
 from acoubench.errors import ParameterError
 
 from conftest import SR, direct_dft, make_noise, make_tone
-
-
-class TestFFT:
-    def test_impulse(self):
-        spec = fft(np.array([1.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(spec.bins, np.ones(4), atol=1e-12)
-
-    def test_dc(self):
-        spec = fft(np.array([1.0, 1.0, 1.0, 1.0]))
-        np.testing.assert_allclose(spec.bins, [4.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-    def test_matches_direct_dft(self, rng):
-        for n in (64, 48):
-            x = rng.normal(size=n)
-            got = fft(x).bins
-            want = direct_dft(x)
-            assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-9
-
-    def test_ifft_round_trip_and_parseval(self, rng):
-        for n in (64, 256, 1024, 4096):
-            x = rng.normal(size=n)
-            spec = fft(x)
-            back = ifft(spec)
-            assert np.max(np.abs(back - x)) < 1e-9
-            e_time = np.sum(x ** 2)
-            e_freq = np.sum(np.abs(spec.bins) ** 2) / n
-            assert abs(e_time - e_freq) / e_time < 1e-9
-
-    def test_fft_of_ifft_restores_spectrum(self, rng):
-        for n in (64, 512, 4096):
-            bins = rng.normal(size=n) + 1j * rng.normal(size=n)
-            spec = Spectrum(bins=bins, bin_hz=1.0 / n, size=n)
-            restored = fft(ifft(spec)).bins
-            assert np.linalg.norm(restored - bins) < 1e-9 * np.linalg.norm(bins)
-
-    def test_bin_hz(self):
-        spec = fft(np.zeros(512), sample_rate_hz=SR)
-        assert spec.bin_hz == pytest.approx(SR / 512)
-
-
-class TestPowerSpectrum:
-    def test_magnitude_squared(self):
-        bins = np.zeros(8, dtype=complex)
-        bins[1] = 3 + 4j
-        spec = fft(np.zeros(8))
-        object.__setattr__(spec, "bins", bins)
-        assert power_spectrum(spec)[1] == pytest.approx(25.0)
-
-    def test_zero(self):
-        assert np.all(power_spectrum(fft(np.zeros(16))) == 0)
-
-    def test_one_sided_length(self):
-        assert len(power_spectrum(fft(np.zeros(256)))) == 129
 
 
 class TestSTFT:
@@ -117,21 +60,29 @@ class TestSTFT:
         assert sgram.bin_hz == pytest.approx(SR / 512)
 
 
+def stft_mfccs(sig, n_coeffs=13, n_filters=26, window_size=None, hop=None):
+    """MFCCs the way the extractor takes them: from the STFT at the default window."""
+    window_size = window_size or default_window_size(sig.sample_rate_hz)
+    spec = stft(sig, window_size, hop or window_size // 2)
+    return mfcc_from_spectrogram(spec, sig.sample_rate_hz, n_coeffs, n_filters)
+
+
 class TestMFCC:
     def test_deterministic(self):
         sig = make_noise(seed=6)
-        np.testing.assert_array_equal(mfcc(sig), mfcc(sig))
+        np.testing.assert_array_equal(stft_mfccs(sig), stft_mfccs(sig))
 
     def test_output_length(self):
+        # 1 s at 16 kHz, 512-sample window, hop 256: 61 frames
         sig = make_noise(seed=7)
         for n in (4, 13, 20):
-            assert len(mfcc(sig, n_coeffs=n)) == n
+            assert stft_mfccs(sig, n_coeffs=n).shape == (61, n)
 
     def test_scaling_shifts_only_first_coefficient(self):
         sig = make_noise(seed=8, amp=0.1)
         doubled = AudioSignal(2.0 * sig.samples, SR)
-        a = mfcc_frames(sig)
-        b = mfcc_frames(doubled)
+        a = stft_mfccs(sig)
+        b = stft_mfccs(doubled)
         # log(4 e) = log e + log 4: the DCT maps a constant shift onto
         # coefficient 0 only
         diff = b - a
@@ -145,7 +96,7 @@ class TestMFCC:
         rng = np.random.default_rng(99)
         samples = rng.normal(size=64)
         sig = AudioSignal(samples, SR)
-        got = mfcc_frames(sig, n_coeffs=4, n_filters=8, window_size=64, hop=64)
+        got = stft_mfccs(sig, n_coeffs=4, n_filters=8, window_size=64, hop=64)
         assert got.shape == (1, 4)
 
         hann = 0.5 * (1 - np.cos(2 * np.pi * np.arange(64) / 64))
@@ -182,7 +133,7 @@ class TestMFCC:
 
     def test_too_short_rejected(self):
         with pytest.raises(ParameterError):
-            mfcc(AudioSignal(np.ones(100), SR))
+            stft_mfccs(AudioSignal(np.ones(100), SR))
 
     def test_filterbank_shape_and_support(self):
         bank = mel_filterbank(26, 512, SR)
