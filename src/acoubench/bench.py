@@ -58,12 +58,16 @@ _PREPROCESS = {
 
 _NOISE_SEED_OFFSET = 777_000
 
-# keys each nested config block accepts
+# keys each nested config block accepts, and the ExperimentConfig field each sets
 _CONFIG_BLOCKS = {
-    "cv": {"n_folds", "holdout_fraction", "validation_fraction"},
-    "noise": {"levels_db"},
-    "timing": {"enabled", "repetitions"},
-    "stats": {"nemenyi_q_alpha"},
+    "cv": {
+        "n_folds": "n_folds",
+        "holdout_fraction": "holdout_fraction",
+        "validation_fraction": "validation_fraction",
+    },
+    "noise": {"levels_db": "noise_levels_db"},
+    "timing": {"enabled": "timing_enabled", "repetitions": "timing_repetitions"},
+    "stats": {"nemenyi_q_alpha": "nemenyi_q_alpha"},
 }
 # keys the data block accepts, per source
 _DATA_KEYS = {
@@ -73,11 +77,12 @@ _DATA_KEYS = {
 
 
 def _roster_entry(index: int, entry) -> dict:
-    """One ``models`` entry as {"kind", "params"}, its keys and hyperparameter names checked.
+    """One ``models`` entry as {"kind", "params"}, its keys and hyperparameters checked.
 
-    An ensemble's own params are checked by building it (its members are
-    specs with kind, params and seed); every other model's, and each
-    member's, by resolving them against the model's constructor.
+    Every model, and each member of an ensemble, is checked by resolving
+    its params against its constructor (which names an unknown one) and
+    by building it: the constructor is the one check of the values. An
+    ensemble is built too, which checks its members' keys and its weights.
     """
     where = f"models[{index}]"
     if not isinstance(entry, dict):
@@ -94,7 +99,8 @@ def _roster_entry(index: int, entry) -> dict:
         spec = ModelSpec(kind=entry["kind"], params=params)
         for member in spec.build().member_specs if spec.kind == "ensemble" else [spec]:
             resolved_params(member)
-    except (ParameterError, TypeError) as exc:
+            member.build()
+    except (ParameterError, TypeError, ValueError) as exc:
         raise ParameterError(f"{where}: {exc}") from None
     return {"kind": entry["kind"], "params": dict(params)}
 
@@ -148,33 +154,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, seed: int | None = None, output_dir: str | None = None):
-        raw = dict(raw)
-        known = {"seed", "data", "preprocess", "models", "output_dir", *_CONFIG_BLOCKS}
-        unknown = set(raw) - known
+        """Build from a JSON config; a key left out takes the field's default."""
+        if not isinstance(raw, dict):
+            raise ParameterError(f"a config must be an object, got {raw!r}")
+        top_level = ("data", "preprocess", "models", "output_dir")
+        unknown = set(raw) - {"seed", *top_level, *_CONFIG_BLOCKS}
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        fields = {key: raw[key] for key in top_level if key in raw}
         for block, keys in _CONFIG_BLOCKS.items():
-            value = raw.setdefault(block, {})
+            value = raw.get(block, {})
             if not isinstance(value, dict):
                 raise ParameterError(f"config block {block!r} must be an object")
-            unknown = set(value) - keys
+            unknown = set(value) - set(keys)
             if unknown:
                 raise ParameterError(f"unknown keys in config block {block!r}: {sorted(unknown)}")
-        cv, noise, timing, stats = raw["cv"], raw["noise"], raw["timing"], raw["stats"]
-        return cls(
-            seed=seed if seed is not None else raw.get("seed"),
-            data=raw.get("data", {"source": "synthetic"}),
-            preprocess=raw.get("preprocess", "rms"),
-            models=raw.get("models", DEFAULT_MODEL_ROSTER),
-            n_folds=cv.get("n_folds", 5),
-            holdout_fraction=cv.get("holdout_fraction", 0.2),
-            validation_fraction=cv.get("validation_fraction", 0.0),
-            noise_levels_db=tuple(noise.get("levels_db", (40.0, 30.0, 20.0, 10.0))),
-            timing_enabled=timing.get("enabled", True),
-            timing_repetitions=timing.get("repetitions", 3),
-            nemenyi_q_alpha=stats.get("nemenyi_q_alpha"),
-            output_dir=output_dir or raw.get("output_dir", "bench-output"),
-        )
+            fields.update((keys[key], v) for key, v in value.items())
+        if output_dir:
+            fields["output_dir"] = output_dir
+        return cls(seed=seed if seed is not None else raw.get("seed"), **fields)
 
     @classmethod
     def from_file(cls, path, seed: int | None = None, output_dir: str | None = None):
@@ -261,6 +259,11 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
     unless ``permissive`` is set, in which case they are skipped and
     listed with their reasons in ``provenance["skipped"]``. Files at
     different sample rates and a file listed twice are always rejected.
+    ``provenance["corpus_sha256"]`` is the SHA-256 over each loaded clip's
+    filename, label and file bytes, in load order (per clip its filename,
+    label and byte count, each ending in a newline, then its bytes): the
+    same clips give the same digest wherever the corpus lies, and a
+    changed byte another.
     Extraction is the caller's: the features stage of a run, or
     ``acoubench extract``, featurizes each clip once.
     """
@@ -279,6 +282,7 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
         raise ParameterError(f"{labels_path}: no data rows")
 
     signals, raw_labels, skipped = [], [], {}
+    digest = hashlib.sha256()
     file_at_rate = {}
     listed_label = {}
     for row in rows:
@@ -316,6 +320,9 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
             raise ParameterError(f"{path}: {reason}")
         signals.append(signal)
         raw_labels.append(label)
+        data = path.read_bytes()
+        digest.update(f"{row['filename']}\n{label}\n{len(data)}\n".encode("utf-8"))
+        digest.update(data)
     if skipped:
         listed = "; ".join(f"{name} ({why})" for name, why in list(skipped.items())[:5])
         warnings.warn(f"skipped {len(skipped)} files: {listed}")
@@ -334,6 +341,7 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
             "labels_csv": str(labels_path),
             "label_mapping": {str(c): i for c, i in dense.items()},
             "skipped": skipped,
+            "corpus_sha256": digest.hexdigest(),
         },
     )
 
@@ -358,14 +366,12 @@ def _stage(name):
 def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     source = cfg.data.get("source", "synthetic")
     if source == "synthetic":
-        gen_kwargs = dict(cfg.data.get("generator", {}))
-        gen = GeneratorConfig(
-            samples_per_class=cfg.data.get("samples_per_class", 200),
-            duration_s=cfg.data.get("duration_s", 1.0),
-            sample_rate_hz=cfg.data.get("sample_rate_hz", 16000.0),
-            base_seed=cfg.seed,
-            **gen_kwargs,
-        )
+        sizes = {
+            key: cfg.data[key]
+            for key in ("samples_per_class", "duration_s", "sample_rate_hz")
+            if key in cfg.data
+        }
+        gen = GeneratorConfig(base_seed=cfg.seed, **sizes, **cfg.data.get("generator", {}))
         return generate_dataset(gen)
     return load_corpus(
         cfg.data["directory"],
@@ -377,7 +383,7 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
 def _extract_features(cfg: ExperimentConfig, dataset: Dataset) -> Dataset:
     prep = _PREPROCESS[cfg.preprocess]
     processed = [prep(s) for s in dataset.signals]
-    return dataset.with_features(extract_matrix(processed), registry_version=REGISTRY_VERSION)
+    return dataset.with_features(extract_matrix(processed))
 
 
 def _fold_metrics(y_true, y_pred, probs, n_classes) -> dict:
@@ -557,6 +563,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         }
         skipped = dataset.provenance.get("skipped")
         if skipped is not None:  # the corpus came from load_corpus
+            manifest["corpus_sha256"] = dataset.provenance["corpus_sha256"]
             manifest["skipped_files"] = len(skipped)
             manifest["skipped"] = "; ".join(
                 f"{name} ({skipped[name]})" for name in sorted(skipped)
@@ -593,15 +600,18 @@ def _noise_sweep(cfg, dataset, plan, scaler, final_models):
     conditions = [math.inf] + list(cfg.noise_levels_db)
     table = {name: [] for name in final_models}
     for level_index, level in enumerate(conditions):
-        noisy = [
-            add_noise_at_snr(
-                dataset.signals[i],
-                level,
-                seed=cfg.seed + _NOISE_SEED_OFFSET + level_index * len(dataset) + int(i),
-            )
-            for i in hold_idx
-        ]
-        feats = scaler.transform(extract_matrix([prep(s) for s in noisy]))
+        if level == math.inf:  # no noise: the features stage already extracted these clips
+            feats = scaler.transform(dataset.features[hold_idx])
+        else:
+            noisy = [
+                add_noise_at_snr(
+                    dataset.signals[i],
+                    level,
+                    seed=cfg.seed + _NOISE_SEED_OFFSET + level_index * len(dataset) + int(i),
+                )
+                for i in hold_idx
+            ]
+            feats = scaler.transform(extract_matrix([prep(s) for s in noisy]))
         for name, model in final_models.items():
             pred = model.predict(feats)
             f1 = classification_metrics(

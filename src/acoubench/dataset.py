@@ -23,7 +23,6 @@ class Dataset:
     signals: list | None = None
     seeds: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
-    registry_version: str | None = None
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=int)
@@ -43,12 +42,8 @@ class Dataset:
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
-    def with_features(self, features, registry_version=None) -> "Dataset":
-        return replace(
-            self,
-            features=np.asarray(features, dtype=float),
-            registry_version=registry_version or self.registry_version,
-        )
+    def with_features(self, features) -> "Dataset":
+        return replace(self, features=features)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from .base import MODEL_KINDS, Classifier, ModelSpec, validate_probabilities
 from .boosting import GradientBoostedTrees
 from .ensemble import SoftVotingEnsemble, ensemble_predict_proba
 from .forest import DecisionTree, RandomForestClassifier, default_max_features
-from .io import load_model, model_from_dict, model_to_dict, save_model
 from .knn import KNNClassifier, cosine_distance
 from .mlp import MLPClassifier
 from .svm import SVMClassifier
@@ -30,10 +29,6 @@ __all__ = [
     "SoftVotingEnsemble",
     "ensemble_predict_proba",
     "cosine_distance",
-    "save_model",
-    "load_model",
-    "model_to_dict",
-    "model_from_dict",
     "measure_timing",
     "TimingReport",
     "make_model",
@@ -62,8 +57,6 @@ def make_model(spec: ModelSpec) -> Classifier:
         return SoftVotingEnsemble(
             member_specs=member_specs, weights=weights, seed=spec.seed, **params
         )
-    if spec.kind not in _CLASSES:
-        raise ParameterError(f"unknown model kind {spec.kind!r}")
     params = dict(spec.params)
     if "hidden" in params:
         params["hidden"] = tuple(params["hidden"])

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ParameterError
-from ..registry import REGISTRY_VERSION
 
 MODEL_KINDS = ("knn", "svm", "rf", "gbt", "mlp", "ensemble")
 
@@ -27,7 +26,6 @@ class Classifier:
         self.seed = int(seed)
         self.class_count: int | None = None
         self.training_seconds: float | None = None
-        self.registry_version = REGISTRY_VERSION
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -67,49 +65,11 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ParameterError(f"unknown model kind {self.kind!r}; known: {MODEL_KINDS}")
-        _validate_params(self.kind, self.params)
 
     def build(self) -> Classifier:
         from . import make_model
 
         return make_model(self)
-
-
-def _validate_params(kind: str, params: dict) -> None:
-    p = dict(params)
-    if kind == "knn":
-        if p.get("k", 1) < 1:
-            raise ParameterError("knn needs k >= 1")
-        metric = p.get("metric", "euclidean")
-        if metric not in ("euclidean", "manhattan", "cosine"):
-            raise ParameterError(f"unknown knn metric {metric!r}")
-    elif kind == "svm":
-        if p.get("C", 1.0) <= 0:
-            raise ParameterError("svm needs C > 0")
-        if p.get("kernel", "rbf") not in ("linear", "rbf", "poly"):
-            raise ParameterError("svm kernel must be linear, rbf or poly")
-    elif kind == "rf":
-        if p.get("n_trees", 1) < 1:
-            raise ParameterError("rf needs n_trees >= 1")
-    elif kind == "gbt":
-        if p.get("n_rounds", 1) < 1:
-            raise ParameterError("gbt needs n_rounds >= 1")
-        lr = p.get("learning_rate", 0.3)
-        if not 0 < lr <= 1:
-            raise ParameterError("gbt learning_rate must be in (0, 1]")
-    elif kind == "mlp":
-        hidden = p.get("hidden", (64, 32))
-        if len(hidden) != 2 or any(h < 1 for h in hidden):
-            raise ParameterError("mlp needs two hidden layer sizes >= 1")
-        lr = p.get("learning_rate", 0.05)
-        if not 0 < lr <= 1:
-            raise ParameterError("mlp learning_rate must be in (0, 1]")
-    elif kind == "ensemble":
-        weights = p.get("weights")
-        if weights is not None:
-            w = np.asarray(weights, dtype=float)
-            if np.any(w < 0) or not np.any(w > 0):
-                raise ParameterError("ensemble weights must be >= 0 and not all zero")
 
 
 def validate_probabilities(probs: np.ndarray, class_count: int, atol: float = 1e-9) -> None:

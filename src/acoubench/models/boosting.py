@@ -125,29 +125,3 @@ class GradientBoostedTrees(Classifier):
     def predict_proba(self, X) -> np.ndarray:
         self._check_fitted()
         return _softmax(self._raw_scores(X))
-
-    def to_dict(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "gamma_split": self.gamma_split,
-            "lambda_l2": self.lambda_l2,
-            "seed": self.seed,
-            "class_count": self.class_count,
-            "trees": [[t.to_dict() for t in rnd] for rnd in self.trees_],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GradientBoostedTrees":
-        model = cls(
-            n_rounds=d["n_rounds"],
-            learning_rate=d["learning_rate"],
-            max_depth=d["max_depth"],
-            gamma_split=d["gamma_split"],
-            lambda_l2=d["lambda_l2"],
-            seed=d["seed"],
-        )
-        model.class_count = d["class_count"]
-        model.trees_ = [[Tree.from_dict(t) for t in rnd] for rnd in d["trees"]]
-        return model

@@ -49,14 +49,15 @@ class SoftVotingEnsemble(Classifier):
                 ModelSpec(kind="gbt", seed=seed + 2),
             ]
         self.member_specs = list(member_specs)
+        if not self.member_specs:
+            raise ParameterError("ensemble needs at least one member")
         if weights is None:
             weights = np.ones(len(self.member_specs))
         self.weights = np.asarray(weights, dtype=float)
-        if self.member_specs:  # deserialization starts from an empty roster
-            if len(self.weights) != len(self.member_specs):
-                raise ParameterError("one weight per member is required")
-            if np.any(self.weights < 0) or not np.any(self.weights > 0):
-                raise ParameterError("weights must be >= 0 and not all zero")
+        if len(self.weights) != len(self.member_specs):
+            raise ParameterError("one weight per member is required")
+        if np.any(self.weights < 0) or not np.any(self.weights > 0):
+            raise ParameterError("weights must be >= 0 and not all zero")
         self.adopted = [None] * len(self.member_specs)
 
     def adopt(self, fitted) -> "SoftVotingEnsemble":
@@ -93,23 +94,3 @@ class SoftVotingEnsemble(Classifier):
     def predict_proba(self, X) -> np.ndarray:
         self._check_fitted()
         return ensemble_predict_proba(self.members_, self.weights, X)
-
-    def to_dict(self) -> dict:
-        from .io import model_to_dict
-
-        return {
-            "weights": self.weights.tolist(),
-            "seed": self.seed,
-            "class_count": self.class_count,
-            "members": [model_to_dict(m) for m in self.members_],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SoftVotingEnsemble":
-        from .io import model_from_dict
-
-        model = cls(member_specs=[], weights=None, seed=d["seed"])
-        model.weights = np.array(d["weights"], dtype=float)
-        model.class_count = d["class_count"]
-        model.members_ = [model_from_dict(md) for md in d["members"]]
-        return model

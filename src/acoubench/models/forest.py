@@ -140,33 +140,3 @@ class RandomForestClassifier(Classifier):
         if s == 0:
             return np.full_like(total, 1.0 / len(total))
         return total / s
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "seed": self.seed,
-            "class_count": self.class_count,
-            "trees": [
-                {"tree": tree.tree_.to_dict(), "importance": tree.feature_importance.tolist()}
-                for tree in self.trees_
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RandomForestClassifier":
-        model = cls(
-            n_trees=d["n_trees"],
-            max_depth=d["max_depth"],
-            min_samples_split=d["min_samples_split"],
-            seed=d["seed"],
-        )
-        model.class_count = d["class_count"]
-        model.trees_ = []
-        for td in d["trees"]:
-            tree = DecisionTree(max_depth=d["max_depth"])
-            tree.tree_ = Tree.from_dict(td["tree"])
-            tree.feature_importance = np.array(td["importance"], dtype=float)
-            model.trees_.append(tree)
-        return model

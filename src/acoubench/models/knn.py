@@ -72,21 +72,3 @@ class KNNClassifier(Classifier):
             for row, lab in enumerate(labels):
                 out[start + row] = np.bincount(lab, minlength=self.class_count) / self.k
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "metric": self.metric,
-            "seed": self.seed,
-            "class_count": self.class_count,
-            "X": self.X_.tolist(),
-            "y": self.y_.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KNNClassifier":
-        model = cls(k=d["k"], metric=d["metric"], seed=d["seed"])
-        model.X_ = np.array(d["X"], dtype=float)
-        model.y_ = np.array(d["y"], dtype=int)
-        model.class_count = d["class_count"]
-        return model

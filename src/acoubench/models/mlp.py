@@ -112,29 +112,3 @@ class MLPClassifier(Classifier):
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self._forward(X, self.weights_)[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "hidden": list(self.hidden),
-            "activation": self.activation,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "class_count": self.class_count,
-            "weights": [w.tolist() for w in self.weights_],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MLPClassifier":
-        model = cls(
-            hidden=tuple(d["hidden"]),
-            activation=d["activation"],
-            epochs=d["epochs"],
-            learning_rate=d["learning_rate"],
-            batch_size=d["batch_size"],
-            seed=d["seed"],
-        )
-        model.class_count = d["class_count"]
-        model.weights_ = [np.array(w, dtype=float) for w in d["weights"]]
-        return model

@@ -207,51 +207,3 @@ class SVMClassifier(Classifier):
             winner = np.where(score >= 0, a, b)
             votes[np.arange(len(X)), winner] += 1.0
         return votes / votes.sum(axis=1, keepdims=True)
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "C": self.C,
-            "gamma": self.gamma_,
-            "coef0": self.coef0,
-            "degree": self.degree,
-            "tol": self.tol,
-            "seed": self.seed,
-            "class_count": self.class_count,
-            "machines": {
-                f"{a},{b}": {
-                    "support_vectors": m.support_vectors.tolist(),
-                    "support_coef": m.support_coef.tolist(),
-                    "bias": m.bias,
-                }
-                for (a, b), m in self.machines_.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SVMClassifier":
-        model = cls(
-            kernel=d["kernel"],
-            C=d["C"],
-            gamma=d["gamma"],
-            coef0=d["coef0"],
-            degree=d["degree"],
-            tol=d["tol"],
-            seed=d["seed"],
-        )
-        model.class_count = d["class_count"]
-        model.gamma_ = d["gamma"]
-        model.machines_ = {}
-        for key, md in d["machines"].items():
-            a, b = (int(v) for v in key.split(","))
-            machine = _BinarySVM(
-                C=d["C"], kernel=d["kernel"], gamma=d["gamma"],
-                coef0=d["coef0"], degree=d["degree"], tol=d["tol"], seed=d["seed"],
-            )
-            machine.support_vectors = np.array(md["support_vectors"], dtype=float)
-            machine.support_coef = np.array(md["support_coef"], dtype=float)
-            machine.bias = md["bias"]
-            machine.n_support = len(machine.support_coef)
-            machine.converged = True
-            model.machines_[(a, b)] = machine
-        return model

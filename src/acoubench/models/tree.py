@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_FIELDS = ("feature", "threshold", "left", "right", "value")
-
 
 class Tree:
     """Flat-array tree: ``feature``, ``threshold``, ``left``, ``right``, ``value``."""
@@ -65,13 +63,6 @@ class Tree:
     def predict(self, X) -> np.ndarray:
         """Payload of the leaf each row reaches."""
         return self.value[self.apply(X)]
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in _FIELDS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(*(d[name] for name in _FIELDS))
 
 
 def sorted_prefix_sums(cols, targets):

@@ -1,8 +1,9 @@
 """Canonical 127-feature registry.
 
 This file is the single source of truth for feature identity: ids,
-names, domains and ordering are frozen here and every feature matrix,
-report and trained model carries ``REGISTRY_VERSION``. Entries are also
+names, domains and ordering are frozen here. ``REGISTRY_VERSION`` is
+recorded in a bench run's ``manifest.txt``, in ``registry.csv`` and in
+every ``FeatureVector``. Entries are also
 flagged by how they respond to rescaling the waveform, which the
 extraction property tests rely on.
 

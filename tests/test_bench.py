@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,7 @@ class TestConfig:
             ({"timing": {"repetition": 5}}, r"block 'timing': \['repetition'\]"),
             ({"stats": {"nemenyi_q": 2.85}}, r"block 'stats': \['nemenyi_q'\]"),
             ({"cv": 5}, "block 'cv' must be an object"),
+            ([], r"a config must be an object, got \[\]"),
             ({"timing": {"repetitions": 2}}, "repetitions must be at least 3, got 2"),
             (
                 {"data": {"source": "synthetic", "samples_per_clas": 2}},
@@ -110,11 +112,23 @@ class TestConfig:
             ),
             ({"models": [{"kind": "ensemble", "params": {"member": []}}]},
              r"models\[0\]: .*'member'"),
+            ({"models": [{"kind": "rf"}, {"kind": "knn", "params": {"k": 0}}]},
+             r"models\[1\]: k must be >= 1"),
+            (
+                {"models": [{"kind": "ensemble", "params": {"members": [
+                    {"kind": "rf", "params": {"n_trees": 0}, "seed": 6},
+                ]}}]},
+                r"models\[0\]: n_trees must be >= 1",
+            ),
+            ({"models": [{"kind": "ensemble", "params": {"members": []}}]},
+             r"models\[0\]: ensemble needs at least one member"),
         ],
-        ids=["cv", "noise", "timing", "stats", "not-an-object", "two-repetitions",
+        ids=["cv", "noise", "timing", "stats", "not-an-object", "config-not-an-object",
+             "two-repetitions",
              "data-synthetic", "data-wav", "data-source", "data-not-an-object",
              "models-not-a-list", "model-not-an-object", "model-key", "model-without-kind",
-             "model-param", "model-param-seed", "member-param", "member-key", "ensemble-param"],
+             "model-param", "model-param-seed", "member-param", "member-key", "ensemble-param",
+             "model-value", "member-value", "ensemble-no-members"],
     )
     def test_bad_config_block_rejected(self, raw, match):
         with pytest.raises(ParameterError, match=match):
@@ -139,6 +153,9 @@ class TestConfig:
         a = ExperimentConfig.from_dict(dict(TINY), seed=5)
         b = ExperimentConfig.from_dict(dict(TINY), seed=6)
         assert a.config_hash() != b.config_hash()
+
+    def test_defaults_come_from_the_dataclass(self):
+        assert ExperimentConfig.from_dict({}, seed=1) == ExperimentConfig(seed=1)
 
     def test_default_roster_has_six_models(self):
         cfg = ExperimentConfig.from_dict({}, seed=1)
@@ -175,7 +192,9 @@ class TestRunExperiment:
         assert bundle.manifest["config_hash"] == cfg.config_hash()
         assert bundle.manifest["seed"] == 77
         assert bundle.manifest["registry_version"] == "1.0"
-        assert "skipped_files" not in bundle.manifest  # a synthetic corpus skips nothing
+        # a synthetic corpus skips nothing and has no files to hash
+        assert "skipped_files" not in bundle.manifest
+        assert "corpus_sha256" not in bundle.manifest
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
@@ -372,8 +391,20 @@ class TestLoadCorpus:
         bundle = run_experiment(cfg)
         holdout = bundle.manifest["holdout_samples"]
         assert holdout == 3
-        # every clip once in the features stage, the hold-out once per sweep condition
-        assert len(calls) == 12 + (1 + 2) * holdout
+        # every clip once in the features stage, the hold-out once per noisy sweep level
+        assert len(calls) == 12 + 2 * holdout
+
+    def test_corpus_digest_follows_the_clips_not_the_path(self, corpus, tmp_path):
+        wav_dir, labels = corpus
+        moved = tmp_path / "moved"
+        shutil.copytree(wav_dir, moved)
+        digest = load_corpus(wav_dir, labels).provenance["corpus_sha256"]
+        assert load_corpus(moved, labels).provenance["corpus_sha256"] == digest
+        clip = moved / "sample_0.wav"
+        data = bytearray(clip.read_bytes())
+        data[-2] ^= 1  # low byte of the last sample
+        clip.write_bytes(bytes(data))
+        assert load_corpus(moved, labels).provenance["corpus_sha256"] != digest
 
     def test_empty_directory_rejected(self, tmp_path):
         empty = tmp_path / "empty"
@@ -483,6 +514,9 @@ class TestLoadCorpus:
         write_bundle(bundle, tmp_path / "out")
         lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
         assert "skipped_files=2" in lines
+        with pytest.warns(UserWarning, match="skipped 2 files"):
+            digest = load_corpus(wav_dir, labels, permissive=True).provenance["corpus_sha256"]
+        assert f"corpus_sha256={digest}" in lines
         assert (
             "skipped=quiet.wav (silent: every sample is zero); "
             "short.wav (320 samples, shorter than one 512-sample analysis window)"

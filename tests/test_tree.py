@@ -97,5 +97,3 @@ def test_apply_sends_rows_at_the_threshold_left():
     X = np.array([[0.5], [0.4], [np.nextafter(0.5, 1.0)], [np.nan]])
     np.testing.assert_array_equal(tree.apply(X), [1, 1, 2, 2])
     np.testing.assert_array_equal(tree.predict(X), [-1.0, -1.0, 1.0, 1.0])
-    restored = Tree.from_dict(tree.to_dict())
-    np.testing.assert_array_equal(restored.apply(X), [1, 1, 2, 2])
