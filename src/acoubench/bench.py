@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,6 +69,25 @@ _CONFIG_BLOCKS = {
     "noise": {"levels_db": "noise_levels_db"},
     "timing": {"enabled": "timing_enabled", "repetitions": "timing_repetitions"},
     "stats": {"nemenyi_q_alpha": "nemenyi_q_alpha"},
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# what each cv, timing and stats field accepts: (test, description)
+_FIELD_TYPES = {
+    "n_folds": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "holdout_fraction": (_is_real, "a number"),
+    "validation_fraction": (_is_real, "a number"),
+    "timing_enabled": (lambda v: isinstance(v, bool), "true or false"),
+    "timing_repetitions": (_is_int, "an integer"),
+    "nemenyi_q_alpha": (lambda v: v is None or _is_real(v), "a number or null"),
 }
 # keys the data block accepts, per source
 _DATA_KEYS = {
@@ -140,6 +160,15 @@ class ExperimentConfig:
             raise ParameterError(f"unknown keys in config block 'data': {sorted(unknown)}")
         if self.preprocess not in _PREPROCESS:
             raise ParameterError(f"unknown preprocess mode {self.preprocess!r}")
+        for block, keys in _CONFIG_BLOCKS.items():
+            for key, name in keys.items():
+                if name in _FIELD_TYPES:
+                    accepts, expected = _FIELD_TYPES[name]
+                    value = getattr(self, name)
+                    if not accepts(value):
+                        raise ParameterError(
+                            f"config block {block!r}: {key!r} must be {expected}, got {value!r}"
+                        )
         levels = tuple(float(v) for v in (self.noise_levels_db or ()))
         if any(b >= a for a, b in zip(levels, levels[1:])):
             raise ParameterError("noise levels must be strictly decreasing")

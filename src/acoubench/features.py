@@ -94,9 +94,12 @@ def _spectral_shape_moments(power, freqs):
     total = power.sum(axis=-1)
     centroid = spectral_centroid(power, freqs)
     dev = freqs - centroid[..., None]
-    var = _safe_div((power * dev ** 2).sum(axis=-1), total)
-    m3 = _safe_div((power * dev ** 3).sum(axis=-1), total)
-    m4 = _safe_div((power * dev ** 4).sum(axis=-1), total)
+    weighted = power * (dev * dev)
+    var = _safe_div(weighted.sum(axis=-1), total)
+    weighted *= dev
+    m3 = _safe_div(weighted.sum(axis=-1), total)
+    weighted *= dev
+    m4 = _safe_div(weighted.sum(axis=-1), total)
     sigma = np.sqrt(var)
     skew = _safe_div(m3, sigma ** 3)
     kurt = _safe_div(m4, var ** 2)
@@ -211,11 +214,23 @@ class _SignalContext:
 # ---------------------------------------------------------------------------
 
 def _standardized_moments(x, mean, std, orders):
-    """E[((x - mean) / std) ** k] for each k in ``orders``; zeros when std is 0."""
+    """E[((x - mean) / std) ** k] for each k >= 3 in ``orders``; zeros when std is 0.
+
+    The powers come from a chain of in-place products (z**3 = z*z*z,
+    z**4 = z**3 * z, ...), not from ``z ** k``: for an integer exponent
+    above 2 numpy calls ``pow`` once per element, which costs tens of
+    times more than a multiply. Products may differ from ``pow`` in the
+    last bits; only two sample-length arrays are alive at a time.
+    """
     if std == 0:
         return [0.0] * len(orders)
     z = (x - mean) / std
-    return [float(np.mean(z ** k)) for k in orders]
+    power = z * z
+    moments = {}
+    for k in range(3, max(orders) + 1):
+        power *= z
+        moments[k] = float(np.mean(power))
+    return [moments[k] for k in orders]
 
 
 def time_features(x: AudioSignal) -> np.ndarray:
@@ -224,13 +239,17 @@ def time_features(x: AudioSignal) -> np.ndarray:
     sr = x.sample_rate_hz
 
     mean = float(s.mean())
-    std = float(s.std())
+    centered = s - mean
+    centered_ss = np.sum(centered * centered)
+    std = float(np.sqrt(centered_ss / n))  # equals s.std() bit for bit
     var = std ** 2
     abs_s = np.abs(s)
-    rms = float(np.sqrt(np.mean(s ** 2)))
+    energy = float(np.sum(s * s))
+    rms = float(np.sqrt(energy / n))
     peak = float(abs_s.max())
     mean_abs = float(abs_s.mean())
-    energy = float(np.sum(s ** 2))
+    s_min = float(s.min())
+    s_max = float(s.max())
 
     skew, kurt, m5, m6 = _standardized_moments(s, mean, std, (3, 4, 5, 6))
 
@@ -243,7 +262,6 @@ def time_features(x: AudioSignal) -> np.ndarray:
     signs = np.sign(s)
     signs[signs == 0] = 1.0
     zcr = float(np.count_nonzero(signs[1:] != signs[:-1])) / (n - 1) if n > 1 else 0.0
-    centered = s - mean
     csigns = np.sign(centered)
     csigns[csigns == 0] = 1.0
     mcr = float(np.count_nonzero(csigns[1:] != csigns[:-1])) / (n - 1) if n > 1 else 0.0
@@ -253,11 +271,16 @@ def time_features(x: AudioSignal) -> np.ndarray:
     wsum = abs_s.sum()
     if wsum > 0:
         t_centroid = float((times * abs_s).sum() / wsum)
-        t_var = float((abs_s * (times - t_centroid) ** 2).sum() / wsum)
+        dt = times - t_centroid
+        weighted = abs_s * (dt * dt)
+        t_var = float(weighted.sum() / wsum)
         t_spread = float(np.sqrt(t_var))
         if t_spread > 0:
-            t_skew = float((abs_s * (times - t_centroid) ** 3).sum() / wsum / t_spread ** 3)
-            t_kurt = float((abs_s * (times - t_centroid) ** 4).sum() / wsum / t_var ** 2)
+            # products, not ** 3 / ** 4: see _standardized_moments
+            weighted *= dt
+            t_skew = float(weighted.sum() / wsum / t_spread ** 3)
+            weighted *= dt
+            t_kurt = float(weighted.sum() / wsum / t_var ** 2)
         else:
             t_skew = t_kurt = 0.0
     else:
@@ -265,8 +288,8 @@ def time_features(x: AudioSignal) -> np.ndarray:
 
     diff = np.diff(s) if n > 1 else np.zeros(1)
     diff_rms = float(np.sqrt(np.mean(diff ** 2)))
-    mobility = float(diff.std() / std) if std > 0 else 0.0
-    dstd = diff.std()
+    dstd = float(diff.std())
+    mobility = dstd / std if std > 0 else 0.0
     if dstd > 0 and mobility > 0 and len(diff) > 1:
         d2 = np.diff(diff)
         complexity = float((d2.std() / dstd) / mobility)
@@ -274,7 +297,7 @@ def time_features(x: AudioSignal) -> np.ndarray:
         complexity = 0.0
 
     if var > 0 and n > 1:
-        lag1 = float(np.sum(centered[:-1] * centered[1:]) / np.sum(centered ** 2))
+        lag1 = float(np.sum(centered[:-1] * centered[1:]) / centered_ss)
     else:
         lag1 = 0.0
 
@@ -297,9 +320,9 @@ def time_features(x: AudioSignal) -> np.ndarray:
             shape,
             zcr,
             t_centroid,
-            float(s.min()),
-            float(s.max()),
-            float(s.max() - s.min()),
+            s_min,
+            s_max,
+            s_max - s_min,
             mean_abs,
             float(np.median(abs_s)),
             impulse,

@@ -122,13 +122,31 @@ class TestConfig:
             ),
             ({"models": [{"kind": "ensemble", "params": {"members": []}}]},
              r"models\[0\]: ensemble needs at least one member"),
+            ({"cv": {"n_folds": "3"}}, r"block 'cv': 'n_folds' must be an integer >= 2, got '3'"),
+            ({"cv": {"n_folds": 2.5}}, r"block 'cv': 'n_folds' must be an integer >= 2, got 2.5"),
+            ({"cv": {"n_folds": True}}, r"block 'cv': 'n_folds' must be an integer >= 2, got True"),
+            ({"cv": {"n_folds": 1}}, r"block 'cv': 'n_folds' must be an integer >= 2, got 1"),
+            ({"cv": {"holdout_fraction": "0.2"}},
+             r"block 'cv': 'holdout_fraction' must be a number, got '0.2'"),
+            ({"cv": {"validation_fraction": None}},
+             r"block 'cv': 'validation_fraction' must be a number, got None"),
+            ({"timing": {"enabled": "no"}}, r"block 'timing': 'enabled' must be true or false"),
+            ({"timing": {"enabled": 0}}, r"block 'timing': 'enabled' must be true or false"),
+            ({"timing": {"repetitions": 3.0}}, r"block 'timing': 'repetitions' must be an integer"),
+            ({"timing": {"enabled": False, "repetitions": "5"}},
+             r"block 'timing': 'repetitions' must be an integer"),
+            ({"stats": {"nemenyi_q_alpha": "x"}},
+             r"block 'stats': 'nemenyi_q_alpha' must be a number or null, got 'x'"),
         ],
         ids=["cv", "noise", "timing", "stats", "not-an-object", "config-not-an-object",
              "two-repetitions",
              "data-synthetic", "data-wav", "data-source", "data-not-an-object",
              "models-not-a-list", "model-not-an-object", "model-key", "model-without-kind",
              "model-param", "model-param-seed", "member-param", "member-key", "ensemble-param",
-             "model-value", "member-value", "ensemble-no-members"],
+             "model-value", "member-value", "ensemble-no-members",
+             "n-folds-string", "n-folds-float", "n-folds-bool", "n-folds-one",
+             "holdout-string", "validation-null", "enabled-string", "enabled-int",
+             "repetitions-float", "repetitions-string-untimed", "nemenyi-string"],
     )
     def test_bad_config_block_rejected(self, raw, match):
         with pytest.raises(ParameterError, match=match):

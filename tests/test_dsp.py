@@ -3,7 +3,10 @@ import pytest
 
 from acoubench.audio import AudioSignal, frame_signal, hann_window
 from acoubench.dsp import (
+    _DB4_HI,
+    _DB4_LO,
     Spectrogram,
+    _dwt_step,
     chroma_mean,
     chroma_vector,
     default_window_size,
@@ -169,6 +172,16 @@ class TestDWT:
     def test_too_short_rejected(self):
         with pytest.raises(ParameterError):
             dwt_energies(AudioSignal(np.ones(16), SR), levels=5)
+
+    @pytest.mark.parametrize("n", [4, 9, 33, 8001, 16000])
+    def test_step_equals_modulo_gather(self, rng, n):
+        x = rng.normal(size=n)
+        even = np.append(x, 0.0) if n % 2 else x
+        m = len(even)
+        windows = even[(np.arange(0, m, 2)[:, None] + np.arange(8)[None, :]) % m]
+        approx, detail = _dwt_step(x)
+        assert np.array_equal(approx, windows @ _DB4_LO)
+        assert np.array_equal(detail, windows @ _DB4_HI)
 
     def test_band_localization(self):
         # a 6 kHz tone at 16 kHz sampling lands in D1 (4-8 kHz)

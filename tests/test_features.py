@@ -135,6 +135,94 @@ class TestTimeFeatures:
         assert centroid == pytest.approx(0.5, rel=0.02)
 
 
+def moment_stress_corpus():
+    """Clips of odd and even length for the moment checks."""
+    rng = np.random.default_rng(23)
+    t = np.arange(8001) / SR
+    train = np.zeros(8000)
+    train[::97] = 1.0
+    return {
+        "noise-even": AudioSignal(rng.normal(size=8000), SR),
+        "noise-odd": AudioSignal(rng.laplace(size=4001), SR),
+        "tone-odd": AudioSignal(np.sin(2 * np.pi * 440 * t) + 0.3, SR),
+        "impulse-train": AudioSignal(train, SR),
+        "near-constant": AudioSignal(1.0 + 1e-9 * rng.normal(size=6000), SR),
+        # a clip on which abs_s * dt * dt and abs_s * (dt * dt) sum differently
+        "decaying-burst": AudioSignal(
+            np.random.default_rng(3).normal(size=8001) * np.exp(-np.arange(8001) / 3000), SR
+        ),
+    }
+
+
+def defined_moments(x: AudioSignal) -> dict:
+    """The k >= 3 moment features written with ``** k``, as they are defined."""
+    s = x.samples
+    z = (s - s.mean()) / s.std()
+    out = {
+        "Skewness": np.mean(z ** 3),
+        "Kurtosis": np.mean(z ** 4),
+        "Fifth Standardized Moment": np.mean(z ** 5),
+        "Sixth Standardized Moment": np.mean(z ** 6),
+    }
+    times = np.arange(len(s)) / x.sample_rate_hz
+    w = np.abs(s) / np.abs(s).sum()
+    t_centroid = (times * w).sum()
+    t_var = (w * (times - t_centroid) ** 2).sum()
+    out["Temporal Skewness"] = (w * (times - t_centroid) ** 3).sum() / t_var ** 1.5
+    out["Temporal Kurtosis"] = (w * (times - t_centroid) ** 4).sum() / t_var ** 2
+    ctx = _SignalContext(x)
+    power, freqs = ctx.full_spectrum
+    p = power / power.sum()
+    f_centroid = (p * freqs).sum()
+    f_var = (p * (freqs - f_centroid) ** 2).sum()
+    out["Spectral Skewness"] = (p * (freqs - f_centroid) ** 3).sum() / f_var ** 1.5
+    out["Spectral Kurtosis"] = (p * (freqs - f_centroid) ** 4).sum() / f_var ** 2
+    frame_power = ctx.spectrogram.power.sum(axis=1)
+    zf = (frame_power - frame_power.mean()) / frame_power.std()
+    out["Frame Energy Skewness"] = np.mean(zf ** 3)
+    return out
+
+
+class TestProductMoments:
+    """k >= 3 moments from products match ``** k``; every other moment keeps its bits."""
+
+    @pytest.mark.parametrize("clip", list(moment_stress_corpus()))
+    def test_products_match_the_power_definitions(self, clip):
+        x = moment_stress_corpus()[clip]
+        values = extract_all(x).values
+        compared = 0
+        for name, reference in defined_moments(x).items():
+            if reference == 0:
+                continue
+            assert values[entry(name).id] == pytest.approx(reference, rel=1e-12), name
+            compared += 1
+        assert compared >= 8
+
+    @pytest.mark.parametrize("clip", list(moment_stress_corpus()))
+    def test_shared_quantities_keep_their_bits(self, clip):
+        s = moment_stress_corpus()[clip].samples
+        values = time_features(AudioSignal(s, SR))
+        centered = s - float(s.mean())
+        t_centroid = values[entry("Temporal Centroid").id]
+        times = np.arange(len(s)) / SR
+        exact = {
+            "Standard Deviation": float(s.std()),
+            "Variance": float(s.std()) ** 2,
+            "RMS Energy": float(np.sqrt(np.mean(s ** 2))),
+            "Signal Energy": float(np.sum(s ** 2)),
+            "Peak-to-Peak Amplitude": float(s.max() - s.min()),
+            "Hjorth Mobility": float(np.diff(s).std() / s.std()),
+            "Lag-1 Autocorrelation": float(
+                np.sum(centered[:-1] * centered[1:]) / np.sum(centered ** 2)
+            ),
+            "Temporal Spread": float(np.sqrt(
+                (np.abs(s) * (times - t_centroid) ** 2).sum() / np.abs(s).sum()
+            )),
+        }
+        for name, value in exact.items():
+            assert values[entry(name).id] == value, name
+
+
 class TestSpectralHelpers:
     def test_point_mass(self):
         freqs = np.arange(0, 2001, 100.0)
