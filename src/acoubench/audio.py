@@ -49,40 +49,15 @@ class AudioSignal:
         return AudioSignal(samples=samples, sample_rate_hz=self.sample_rate_hz)
 
 
-@dataclass(frozen=True)
-class FrameSequence:
-    """Equal-length contiguous windows taken from one signal."""
-
-    frames: np.ndarray
-    window_size: int
-    hop: int
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        if self.frames.ndim != 2 or self.frames.shape[1] != self.window_size:
-            raise ParameterError("every frame must have exactly window_size samples")
-
-    def __len__(self) -> int:
-        return self.frames.shape[0]
-
-
-def expected_frame_count(n_samples: int, window_size: int, hop: int) -> int:
-    return (n_samples - window_size) // hop + 1
-
-
-def frame_signal(x: AudioSignal, window_size: int, hop: int) -> FrameSequence:
-    """Slice a signal into contiguous frames; no padding is applied."""
+def frame_signal(x: AudioSignal, window_size: int, hop: int) -> np.ndarray:
+    """Slice a signal into contiguous frames, [frames, window_size]; no padding is applied."""
     n = len(x.samples)
     if not (0 < hop <= window_size):
         raise ParameterError(f"need 0 < hop <= window_size, got hop={hop}, window={window_size}")
     if window_size > n:
         raise ParameterError(f"window of {window_size} samples longer than signal of {n}")
-    count = expected_frame_count(n, window_size, hop)
-    starts = np.arange(count) * hop
-    frames = x.samples[starts[:, None] + np.arange(window_size)[None, :]]
-    return FrameSequence(
-        frames=frames, window_size=window_size, hop=hop, sample_rate_hz=x.sample_rate_hz
-    )
+    starts = np.arange((n - window_size) // hop + 1) * hop
+    return x.samples[starts[:, None] + np.arange(window_size)[None, :]]
 
 
 @functools.lru_cache(maxsize=32)

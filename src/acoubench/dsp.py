@@ -50,7 +50,6 @@ class Spectrogram:
     """One-sided power spectrogram, rows = frames."""
 
     power: np.ndarray
-    frame_times_s: np.ndarray
     bin_hz: float
 
     def __post_init__(self):
@@ -70,12 +69,10 @@ def stft(x: AudioSignal, window_size: int, hop: int) -> Spectrogram:
     Frames are zero-padded to the next power of two before the FFT, so
     any window size is accepted.
     """
-    frames = frame_signal(x, window_size, hop).frames
+    frames = frame_signal(x, window_size, hop)
     nfft = next_pow2(window_size)
     power = np.abs(np.fft.rfft(frames * hann_window(window_size), n=nfft)) ** 2
-    starts = np.arange(frames.shape[0]) * hop
-    times = (starts + window_size / 2.0) / x.sample_rate_hz
-    return Spectrogram(power=power, frame_times_s=times, bin_hz=x.sample_rate_hz / nfft)
+    return Spectrogram(power=power, bin_hz=x.sample_rate_hz / nfft)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Metrics, cross-validation planning and statistical model comparison.
 
 Covers the full scoring surface: confusion-matrix metrics with
-macro averaging, Matthews correlation (binary formula and its
-multiclass generalization), one-vs-rest AUC-ROC by threshold sweep,
-stratified k-fold planning with optional hold-out and validation
-carving, McNemar's paired test with continuity correction, the
-Friedman rank test, and the chi-square survival function both rely on.
+macro averaging, Matthews correlation in its multiclass form,
+one-vs-rest AUC-ROC by threshold sweep, stratified k-fold planning
+with optional hold-out and validation carving, McNemar's paired test
+with continuity correction, the Friedman rank test, and the chi-square
+survival function both rely on.
 """
 
 from __future__ import annotations
@@ -97,18 +97,10 @@ def classification_metrics(cm: ConfusionMatrix) -> MetricSet:
 def mcc(cm: ConfusionMatrix) -> float:
     """Matthews correlation coefficient.
 
-    Binary matrices use the classic TP/TN/FP/FN formula; larger ones
-    use the generalized covariance form, which reduces to it for C = 2.
-    A zero denominator scores 0.
+    The generalized covariance form (Gorodkin 2004), which for C = 2 is
+    the classic TP/TN/FP/FN formula. A zero denominator scores 0.
     """
     counts = cm.counts.astype(float)
-    if cm.n_classes == 2:
-        tn, fp = counts[0, 0], counts[0, 1]
-        fn, tp = counts[1, 0], counts[1, 1]
-        denom = math.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
-        if denom == 0:
-            return 0.0
-        return float((tp * tn - fp * fn) / denom)
     s = counts.sum()
     c = np.trace(counts)
     t = counts.sum(axis=1)  # true-class totals
@@ -324,19 +316,20 @@ def mcnemar(correct1, correct2) -> McNemarResult:
     return McNemarResult(chi2=chi2, p_value=chi_square_sf(chi2, 1), b=b, c=c, degenerate=False)
 
 
+# scores closer than this share a Friedman rank
+RANK_TIE = 1e-12
+
+
 def _average_ranks_desc(values: np.ndarray) -> np.ndarray:
-    """Ranks with 1 = largest value; tied values share the average rank."""
-    order = np.argsort(-values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Ranks with 1 = largest value; tied values share the average rank.
+
+    Values within ``RANK_TIE`` of each other tie: scores such as macro-F1
+    are ratios of counts, and round-off must not break their ties.
+    """
+    gap = values[:, None] - values[None, :]
+    above = np.sum(gap < -RANK_TIE, axis=1)
+    tied = np.sum(np.abs(gap) <= RANK_TIE, axis=1)
+    return above + (tied + 1) / 2.0
 
 
 @dataclass(frozen=True)
@@ -385,7 +378,6 @@ class SignificanceReport:
 
     model_names: tuple
     mcnemar_p: np.ndarray
-    mcnemar_chi2: np.ndarray
     friedman_chi2: float
     friedman_p: float
     avg_ranks: np.ndarray
@@ -404,17 +396,13 @@ def significance_report(model_names, correctness, performance) -> SignificanceRe
     if correctness.shape[0] != k:
         raise ParameterError("one correctness row per model is required")
     p = np.ones((k, k))
-    chi2 = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            res = mcnemar(correctness[i], correctness[j])
-            p[i, j] = p[j, i] = res.p_value
-            chi2[i, j] = chi2[j, i] = res.chi2
+            p[i, j] = p[j, i] = mcnemar(correctness[i], correctness[j]).p_value
     fr = friedman(performance)
     return SignificanceReport(
         model_names=names,
         mcnemar_p=p,
-        mcnemar_chi2=chi2,
         friedman_chi2=fr.chi2,
         friedman_p=fr.p_value,
         avg_ranks=fr.avg_ranks,

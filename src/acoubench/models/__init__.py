@@ -8,7 +8,7 @@ from ..errors import ParameterError
 from .base import MODEL_KINDS, Classifier, ModelSpec, validate_probabilities
 from .boosting import GradientBoostedTrees
 from .ensemble import SoftVotingEnsemble, ensemble_predict_proba
-from .forest import DecisionTree, RandomForestClassifier, default_max_features
+from .forest import RandomForestClassifier, default_max_features
 from .knn import KNNClassifier, cosine_distance
 from .mlp import MLPClassifier
 from .svm import SVMClassifier
@@ -22,7 +22,6 @@ __all__ = [
     "KNNClassifier",
     "SVMClassifier",
     "RandomForestClassifier",
-    "DecisionTree",
     "default_max_features",
     "GradientBoostedTrees",
     "MLPClassifier",

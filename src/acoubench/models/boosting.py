@@ -27,11 +27,12 @@ def _leaf_score(g: float, h: float, lambda_l2: float) -> float:
     return g * g / (h + lambda_l2)
 
 
-def _build_tree(X, g, h, max_depth, gamma_split, lambda_l2) -> Tree:
-    """Regression tree on gradients ``g`` and hessians ``h``; leaves hold weights.
+def _build_tree(tree, X, g, h, max_depth, gamma_split, lambda_l2) -> np.ndarray:
+    """Append a regression tree on gradients ``g`` and hessians ``h`` to ``tree``.
 
-    Every feature is a candidate at every node, compared in index order;
-    each feature's best boundary is the first at its maximum gain.
+    Leaves hold weights. Every feature is a candidate at every node,
+    compared in index order; each feature's best boundary is the first
+    at its maximum gain. Returns the leaf each row of ``X`` reaches.
     """
     gh = np.column_stack([g, h])
 
@@ -51,7 +52,7 @@ def _build_tree(X, g, h, max_depth, gamma_split, lambda_l2) -> Tree:
         found = pick_split(xs, np.argmax(gains, axis=0), gains.max(axis=0))
         return weight, None if found is None else found[:2]
 
-    return Tree.grow(X, node)
+    return tree.grow(X, node)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -91,35 +92,35 @@ class GradientBoostedTrees(Classifier):
         return ce + self._omega
 
     def _fit(self, X, y):
+        """Tree ``t`` of ``tree_`` is round ``t // C``'s tree for class ``t % C``."""
         n, _ = X.shape
         C = self.class_count
         onehot = np.eye(C)[y]
         scores = np.zeros((n, C))
-        self.trees_ = []  # list of rounds, each a list of C trees
+        self.tree_ = Tree()
         self._omega = 0.0
         self.loss_history_ = [self._regularized_loss(scores, onehot)]
         for _ in range(self.n_rounds):
             probs = _softmax(scores)
-            round_trees = []
             for c in range(C):
                 g = probs[:, c] - onehot[:, c]
                 h = probs[:, c] * (1.0 - probs[:, c])
-                tree = _build_tree(X, g, h, self.max_depth, self.gamma_split, self.lambda_l2)
-                scores[:, c] += self.learning_rate * tree.predict(X)
-                round_trees.append(tree)
-                weights = tree.value[tree.feature < 0]
+                leaf = _build_tree(self.tree_, X, g, h, self.max_depth, self.gamma_split, self.lambda_l2)
+                scores[:, c] += self.learning_rate * self.tree_.value[leaf]
+                grown = slice(self.tree_.roots[-1], None)
+                weights = self.tree_.value[grown][self.tree_.feature[grown] < 0]
                 shrunk = self.learning_rate * weights
                 self._omega += self.gamma_split * len(weights)
                 self._omega += 0.5 * self.lambda_l2 * float(np.sum(shrunk ** 2))
-            self.trees_.append(round_trees)
             self.loss_history_.append(self._regularized_loss(scores, onehot))
 
     def _raw_scores(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        scores = np.zeros((len(X), self.class_count))
-        for round_trees in self.trees_:
-            for c, tree in enumerate(round_trees):
-                scores[:, c] += self.learning_rate * tree.predict(X)
+        """Shrunken leaf weights summed tree by tree in fit order, round then class."""
+        values = self.tree_.value[self.tree_.apply(X)]
+        C = self.class_count
+        scores = np.zeros((len(values), C))
+        for r in range(self.n_rounds):
+            scores += self.learning_rate * values[:, r * C : (r + 1) * C]
         return scores
 
     def predict_proba(self, X) -> np.ndarray:

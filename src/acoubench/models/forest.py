@@ -46,46 +46,30 @@ def _best_split(X, y, n_classes, feature_ids):
     return int(feature_ids[j]), threshold, gain
 
 
-class DecisionTree:
-    """Single CART-style classification tree; leaves hold class counts."""
+def _grow_tree(tree, X, y, n_classes, max_depth, min_samples_split, max_features, rng):
+    """Append one CART tree on ``X``, ``y`` to ``tree``; its leaves hold class counts.
 
-    def __init__(self, max_depth: int = 16, min_samples_split: int = 2,
-                 max_features: int | None = None, seed: int = 0):
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self.seed = seed
+    Each node draws ``max_features`` candidate features from ``rng``.
+    Returns the tree's impurity decrease per feature, each node's gain
+    weighted by its share of the rows.
+    """
+    d = X.shape[1]
+    importance = np.zeros(d)
 
-    def fit(self, X, y, n_classes: int):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
-        d = X.shape[1]
-        self.feature_importance = np.zeros(d)
-        rng = np.random.default_rng(self.seed)
-        m = min(self.max_features or d, d)
+    def node(Xn, rows, depth):
+        yn = y[rows]
+        counts = np.bincount(yn, minlength=n_classes).astype(float)
+        if depth >= max_depth or len(yn) < min_samples_split or np.count_nonzero(counts) <= 1:
+            return counts, None
+        found = _best_split(Xn, yn, n_classes, rng.choice(d, size=max_features, replace=False))
+        if found is None:
+            return counts, None
+        feature, threshold, gain = found
+        importance[feature] += gain * len(yn) / len(y)
+        return counts, (feature, threshold)
 
-        def node(Xn, rows, depth):
-            yn = y[rows]
-            counts = np.bincount(yn, minlength=n_classes).astype(float)
-            if (
-                depth >= self.max_depth
-                or len(yn) < self.min_samples_split
-                or np.count_nonzero(counts) <= 1
-            ):
-                return counts, None
-            feature_ids = rng.choice(d, size=m, replace=False)
-            found = _best_split(Xn, yn, n_classes, feature_ids)
-            if found is None:
-                return counts, None
-            feature, threshold, gain = found
-            self.feature_importance[feature] += gain * len(yn) / len(y)
-            return counts, (feature, threshold)
-
-        self.tree_ = Tree.grow(X, node)
-        return self
-
-    def predict_class(self, X) -> np.ndarray:
-        return np.argmax(self.tree_.predict(X), axis=1)
+    tree.grow(X, node)
+    return importance
 
 
 def default_max_features(n_features: int) -> int:
@@ -111,31 +95,29 @@ class RandomForestClassifier(Classifier):
         n, d = X.shape
         m_try = default_max_features(d)
         seeds = np.random.SeedSequence(self.seed).spawn(self.n_trees)
-        self.trees_ = []
+        self.tree_ = Tree()
+        self.importances_ = np.zeros((self.n_trees, d))
         for t in range(self.n_trees):
             rng = np.random.default_rng(seeds[t])
             sample = rng.integers(0, n, size=n)  # bootstrap of size n
-            tree = DecisionTree(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                max_features=m_try,
-                seed=rng.integers(2 ** 31),
+            self.importances_[t] = _grow_tree(
+                self.tree_, X[sample], y[sample], self.class_count, self.max_depth,
+                self.min_samples_split, m_try, np.random.default_rng(rng.integers(2 ** 31)),
             )
-            tree.fit(X[sample], y[sample], self.class_count)
-            self.trees_.append(tree)
 
     def predict_proba(self, X) -> np.ndarray:
+        """Vote fractions; each tree votes for its leaf's majority class, the lowest on a tie."""
         self._check_fitted()
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        votes = np.zeros((len(X), self.class_count))
-        for tree in self.trees_:
-            votes[np.arange(len(X)), tree.predict_class(X)] += 1.0
-        return votes / self.n_trees
+        leaves = self.tree_.apply(X)
+        winners = np.argmax(self.tree_.value[leaves], axis=2)
+        n, C = len(leaves), self.class_count
+        votes = np.bincount((np.arange(n)[:, None] * C + winners).ravel(), minlength=n * C)
+        return votes.reshape(n, C) / self.n_trees
 
     def feature_importances(self) -> np.ndarray:
         """Mean impurity decrease per feature, normalized to sum to 1."""
         self._check_fitted()
-        total = np.mean([tree.feature_importance for tree in self.trees_], axis=0)
+        total = self.importances_.mean(axis=0)
         s = total.sum()
         if s == 0:
             return np.full_like(total, 1.0 / len(total))

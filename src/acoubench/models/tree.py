@@ -1,10 +1,11 @@
-"""Binary decision tree stored as flat node arrays, shared by the forest and boosting.
+"""Every tree of one model in one set of flat node arrays, shared by the forest and boosting.
 
-Nodes are numbered in depth-first preorder. Node ``i`` sends a row with
-``x[feature[i]] <= threshold[i]`` to ``left[i]`` and every other row,
-NaN included, to ``right[i]``. A leaf has feature -1 and children -1.
-``value[i]`` is the node's payload: class counts in the forest, the
-weight in boosting.
+Each tree's nodes are numbered in depth-first preorder, one tree after
+another in fit order, and ``roots[t]`` is the root of tree ``t``. Node
+``i`` sends a row with ``x[feature[i]] <= threshold[i]`` to ``left[i]``
+and every other row, NaN included, to ``right[i]``. A leaf has feature
+-1 and children -1. ``value[i]`` is the node's payload: class counts in
+the forest, the weight in boosting.
 """
 
 from __future__ import annotations
@@ -13,56 +14,68 @@ import numpy as np
 
 
 class Tree:
-    """Flat-array tree: ``feature``, ``threshold``, ``left``, ``right``, ``value``."""
+    """Node arrays ``feature``, ``threshold``, ``left``, ``right``, ``value``; tree roots ``roots``."""
 
-    def __init__(self, feature, threshold, left, right, value):
+    def __init__(self, feature=(), threshold=(), left=(), right=(), value=(), roots=()):
         self.feature = np.asarray(feature, dtype=np.intp)
         self.threshold = np.asarray(threshold, dtype=float)
         self.left = np.asarray(left, dtype=np.intp)
         self.right = np.asarray(right, dtype=np.intp)
         self.value = np.asarray(value, dtype=float)
+        self.roots = np.asarray(roots, dtype=np.intp)
 
-    @classmethod
-    def grow(cls, X, node) -> "Tree":
-        """Grow depth first, left subtree before right.
+    def grow(self, X, node) -> np.ndarray:
+        """Append one tree, grown depth first, left subtree before right.
 
         ``node(Xn, rows, depth)`` is called once per node, in preorder,
         with the node's rows ``Xn = X[rows]`` (in input order) and
         returns ``(value, split)``: the node's payload and either a
-        ``(feature, threshold)`` pair or None for a leaf.
+        ``(feature, threshold)`` pair or None for a leaf. Returns the
+        leaf each row of ``X`` reaches.
         """
+        base = len(self.feature)
         nodes = []  # one [feature, threshold, left, right, value] per node, in preorder
+        leaf = np.empty(len(X), dtype=np.intp)
 
         def visit(Xn, rows, depth):
-            i = len(nodes)
+            i = base + len(nodes)
             value, split = node(Xn, rows, depth)
             nodes.append([-1, 0.0, -1, -1, value])
-            if split is not None:
+            if split is None:
+                leaf[rows] = i
+            else:
                 f, t = split
                 mask = Xn[:, f] <= t
                 left = visit(Xn[mask], rows[mask], depth + 1)
                 right = visit(Xn[~mask], rows[~mask], depth + 1)
-                nodes[i][:4] = f, t, left, right
+                nodes[i - base][:4] = f, t, left, right
             return i
 
         visit(X, np.arange(len(X)), 0)
-        return cls(*zip(*nodes))
+        arrays = (self.feature, self.threshold, self.left, self.right, self.value)
+        self.feature, self.threshold, self.left, self.right, self.value = (
+            np.concatenate([old, new]) if base else np.asarray(new)
+            for old, new in zip(arrays, zip(*nodes))
+        )
+        self.roots = np.append(self.roots, base)
+        return leaf
 
     def apply(self, X) -> np.ndarray:
-        """Leaf index of each row, moving all rows down one level per step."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        node = np.zeros(len(X), dtype=np.intp)
-        rows = np.flatnonzero(self.feature[node] >= 0)
-        while rows.size:
-            at = node[rows]
-            go_left = X[rows, self.feature[at]] <= self.threshold[at]
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
-            rows = rows[self.feature[node[rows]] >= 0]
-        return node
+        """Leaf index of each row in each tree, [rows, trees].
 
-    def predict(self, X) -> np.ndarray:
-        """Payload of the leaf each row reaches."""
-        return self.value[self.apply(X)]
+        Every (row, tree) pair moves down one level per step, so the
+        walk takes as many steps as the deepest tree has levels.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        node = np.tile(self.roots, len(X))
+        row = np.repeat(np.arange(len(X)), len(self.roots))
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while live.size:
+            at = node[live]
+            go_left = X[row[live], self.feature[at]] <= self.threshold[at]
+            node[live] = np.where(go_left, self.left[at], self.right[at])
+            live = live[self.feature[node[live]] >= 0]
+        return node.reshape(len(X), len(self.roots))
 
 
 def sorted_prefix_sums(cols, targets):

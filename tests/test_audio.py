@@ -36,13 +36,13 @@ class TestFraming:
     def test_frame_count_1000_256_128(self):
         # floor((1000 - 256) / 128) + 1 = 6
         sig = make_noise(duration_s=1000 / SR, seed=1)
-        assert len(frame_signal(sig, 256, 128)) == 6
+        assert frame_signal(sig, 256, 128).shape == (6, 256)
 
     def test_single_frame_at_boundary(self):
         sig = make_noise(duration_s=256 / SR, seed=2)
         frames = frame_signal(sig, 256, 128)
-        assert len(frames) == 1
-        np.testing.assert_array_equal(frames.frames[0], sig.samples)
+        assert frames.shape == (1, 256)
+        np.testing.assert_array_equal(frames[0], sig.samples)
 
     def test_hop_larger_than_window_rejected(self):
         sig = make_noise(seed=3)
@@ -59,14 +59,14 @@ class TestFraming:
         frames = frame_signal(sig, 512, 256)
         for m in range(len(frames)):
             np.testing.assert_array_equal(
-                frames.frames[m], sig.samples[m * 256 : m * 256 + 512]
+                frames[m], sig.samples[m * 256 : m * 256 + 512]
             )
 
     def test_cola_round_trip_interior(self):
         # Hann-windowed frames at 50% overlap sum back to the signal away from the edges.
         sig = make_noise(seed=6)
         w = 512
-        frames = frame_signal(sig, w, w // 2).frames * hann_window(w)
+        frames = frame_signal(sig, w, w // 2) * hann_window(w)
         rebuilt = np.zeros(len(sig.samples))
         for m, frame in enumerate(frames):
             rebuilt[m * w // 2 : m * w // 2 + w] += frame

@@ -4,6 +4,7 @@ import pytest
 from acoubench.errors import ParameterError
 from acoubench.models import GradientBoostedTrees
 from acoubench.models.boosting import _build_tree, leaf_weight
+from acoubench.models.tree import Tree
 
 
 class TestLeafWeights:
@@ -16,7 +17,8 @@ class TestLeafWeights:
         probs = np.full(4, 0.5)  # uniform start for the binary softmax
         g = probs - (y == 1)
         h = probs * (1 - probs)
-        tree = _build_tree(X, g, h, 1, 0.0, lam)
+        tree = Tree()
+        _build_tree(tree, X, g, h, 1, 0.0, lam)
         assert tree.feature[0] == 0
         threshold = tree.threshold[0]
         grid = np.arange(-5.0, 5.0, 1e-4)
@@ -38,7 +40,10 @@ class TestLeafWeights:
         X = rng.normal(size=(30, 3))
         y = rng.integers(0, 2, size=30)
         model = GradientBoostedTrees(n_rounds=3, gamma_split=1e9, seed=1).fit(X, y)
-        assert all(tree.feature.tolist() == [-1] for rnd in model.trees_ for tree in rnd)
+        tree = model.tree_
+        assert len(tree.feature) == 3 * 2  # n_rounds x C nodes: one per tree
+        assert tree.roots.tolist() == list(range(6))
+        assert np.all(tree.feature[tree.roots] == -1)
 
 
 class TestTraining:

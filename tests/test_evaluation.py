@@ -352,6 +352,23 @@ class TestFriedman:
         res = friedman(np.array([[0.5, 0.5, 0.1], [0.5, 0.5, 0.1]]))
         np.testing.assert_allclose(res.avg_ranks, [1.5, 1.5, 3.0])
 
+    def test_round_off_does_not_break_a_tie(self):
+        # fold F1 of knn, svm, rf, gbt, mlp, ensemble on perfbench's `bench`
+        # config at seed 866: knn and mlp have the same fold-0 macro-F1 up to
+        # the last bit, and must share rank 5.5 there
+        perf = np.array([
+            [0.7866666666666666, 1.0, 1.0, 0.8933333333333333, 0.7866666666666667, 1.0],
+            [0.7333333333333333, 1.0, 1.0, 1.0, 0.7999999999999999, 1.0],
+            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            [0.7333333333333333, 1.0, 1.0, 1.0, 0.7333333333333333, 1.0],
+        ])
+        res = friedman(perf)
+        # fold ranks: (5.5 2 2 4 5.5 2), (6 2.5 2.5 2.5 5 2.5), (3.5 x6) twice, (5.5 2.5 2.5 2.5 5.5 2.5)
+        np.testing.assert_allclose(res.avg_ranks, [4.8, 2.8, 2.8, 3.2, 4.6, 2.8], rtol=0, atol=1e-12)
+        # 12 * 5 / 42 * (77.96 - 73.5)
+        assert res.chi2 == pytest.approx(60 / 42 * 4.46, abs=1e-9)
+
     def test_too_small_rejected(self):
         with pytest.raises(ParameterError):
             friedman(np.ones((1, 3)))

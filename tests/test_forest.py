@@ -2,22 +2,36 @@ import numpy as np
 import pytest
 
 from acoubench.errors import ParameterError
-from acoubench.models import DecisionTree, RandomForestClassifier, default_max_features
+from acoubench.models import RandomForestClassifier, default_max_features
+from acoubench.models.forest import _grow_tree
+from acoubench.models.tree import Tree
 
 
-class TestDecisionTree:
+def _tally(tree, root, x):
+    """Reference vote of one tree for one row: walk it node by node, take the leaf's majority."""
+    i = root
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return int(np.argmax(tree.value[i]))
+
+
+class TestGrowTree:
     def test_full_purity_on_duplicate_free_data(self, rng):
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 3, size=40)
-        tree = DecisionTree(max_depth=64, max_features=None, seed=0).fit(X, y, 3)
-        assert (tree.predict_class(X) == y).mean() == 1.0
+        tree = Tree()
+        _grow_tree(tree, X, y, 3, 64, 2, 3, np.random.default_rng(0))
+        assert (np.argmax(tree.value[tree.apply(X)[:, 0]], axis=1) == y).mean() == 1.0
 
     def test_pure_node_stops_growing(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([1, 1, 1])
-        tree = DecisionTree(seed=0).fit(X, y, 2)
-        assert tree.tree_.feature.tolist() == [-1]
-        assert tree.tree_.value.tolist() == [[0.0, 3.0]]
+        tree = Tree()
+        importance = _grow_tree(tree, X, y, 2, 16, 2, 1, np.random.default_rng(0))
+        assert tree.feature.tolist() == [-1]
+        assert tree.value.tolist() == [[0.0, 3.0]]
+        assert tree.roots.tolist() == [0]
+        assert importance.tolist() == [0.0]
 
 
 class TestRandomForest:
@@ -33,8 +47,10 @@ class TestRandomForest:
         queries = rng.normal(size=(6, 2))
         probs = model.predict_proba(queries)
         votes = np.zeros((6, 2))
-        for tree in model.trees_:
-            votes[np.arange(6), tree.predict_class(queries)] += 1
+        for root in model.tree_.roots:
+            for i, x in enumerate(queries):
+                votes[i, _tally(model.tree_, root, x)] += 1
+        assert len(model.tree_.roots) == 3
         np.testing.assert_allclose(probs, votes / 3)
 
     def test_probabilities_are_vote_fractions(self, rng):

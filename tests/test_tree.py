@@ -68,7 +68,8 @@ def test_vectorised_search_matches_feature_scan(seed):
 
     g = rng.normal(size=50)
     h = rng.uniform(0.05, 0.25, size=50)
-    tree = _build_tree(X, g, h, 1, 0.0, 1.0)
+    tree = Tree()
+    _build_tree(tree, X, g, h, 1, 0.0, 1.0)
     want = _scan_gain(X, g, h, 1.0)
     got = None if tree.feature[0] < 0 else (int(tree.feature[0]), tree.threshold[0])
     assert got == want
@@ -81,7 +82,8 @@ def test_identical_columns_split_on_the_earlier_feature():
     assert _best_split(X, y, 2, np.array([0, 1]))[:2] == (0, 1.5)
     assert _best_split(X, y, 2, np.array([1, 0]))[:2] == (1, 1.5)  # draw order, not index
     g = np.array([-0.5, -0.5, 0.5, 0.5])
-    tree = _build_tree(X, g, np.full(4, 0.25), 1, 0.0, 1.0)
+    tree = Tree()
+    _build_tree(tree, X, g, np.full(4, 0.25), 1, 0.0, 1.0)
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 1.5
 
@@ -93,7 +95,56 @@ def test_apply_sends_rows_at_the_threshold_left():
         left=[1, -1, -1],
         right=[2, -1, -1],
         value=[0.0, -1.0, 1.0],
+        roots=[0],
     )
     X = np.array([[0.5], [0.4], [np.nextafter(0.5, 1.0)], [np.nan]])
-    np.testing.assert_array_equal(tree.apply(X), [1, 1, 2, 2])
-    np.testing.assert_array_equal(tree.predict(X), [-1.0, -1.0, 1.0, 1.0])
+    leaves = tree.apply(X)
+    np.testing.assert_array_equal(leaves, [[1], [1], [2], [2]])
+    np.testing.assert_array_equal(tree.value[leaves[:, 0]], [-1.0, -1.0, 1.0, 1.0])
+
+
+def _walk(tree, root, x):
+    """Reference: one row down one tree, a node at a time."""
+    i = root
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return i
+
+
+def test_apply_walks_every_tree_like_a_per_row_walk():
+    # tree 0 is a lone leaf, tree 1 a stump, tree 2 two levels deep on both features
+    tree = Tree(
+        feature=[-1, 1, -1, -1, 0, 1, -1, -1, -1],
+        threshold=[0.0, 0.25, 0.0, 0.0, -1.0, 2.0, 0.0, 0.0, 0.0],
+        left=[-1, 2, -1, -1, 5, 6, -1, -1, -1],
+        right=[-1, 3, -1, -1, 8, 7, -1, -1, -1],
+        value=np.arange(9.0),
+        roots=[0, 1, 4],
+    )
+    rng = np.random.default_rng(3)
+    X = np.vstack([
+        rng.normal(size=(20, 2)) * 2.0,
+        [[-1.0, 2.0], [-1.0, 0.25], [np.nan, 0.0], [-2.0, np.nan], [np.nan, np.nan]],
+    ])
+    want = [[_walk(tree, root, x) for root in tree.roots] for x in X]
+    np.testing.assert_array_equal(tree.apply(X), want)
+    assert tree.apply(X[:1]).shape == (1, 3)
+    # the rows at a threshold went left, the NaN rows right
+    np.testing.assert_array_equal(want[-5:], [[0, 3, 6], [0, 2, 6], [0, 2, 8], [0, 3, 7], [0, 3, 8]])
+
+
+def test_grow_appends_a_tree_and_returns_each_rows_leaf():
+    rng = np.random.default_rng(4)
+    X = np.round(rng.normal(size=(40, 3)), 1)
+    tree = Tree()
+    for depth in (2, 3):
+        g = rng.normal(size=40)
+        leaves = _build_tree(tree, X, g, np.full(40, 0.25), depth, 0.0, 1.0)
+        np.testing.assert_array_equal(leaves, tree.apply(X)[:, -1])
+    second = tree.roots[1]
+    assert tree.roots.tolist() == [0, second]
+    # the second tree's children point into the second tree
+    split = tree.feature[second:] >= 0
+    assert split[0]
+    assert np.all(tree.left[second:][split] > second)
+    assert np.all(tree.right[second:][split] > second)
