@@ -25,7 +25,7 @@ from . import __version__
 from .audio import normalize_amplitude, normalize_rms
 from .dataset import Dataset, fit_scaler
 from .dsp import default_window_size
-from .errors import ParameterError, PipelineStageError
+from .errors import ParameterError, PipelineStageError, UnsupportedWavError
 from .evaluation import (
     SignificanceReport,
     auc_roc,
@@ -169,6 +169,10 @@ class ExperimentConfig:
                         raise ParameterError(
                             f"config block {block!r}: {key!r} must be {expected}, got {value!r}"
                         )
+        for key in ("holdout_fraction", "validation_fraction"):
+            value = getattr(self, key)
+            if not 0 <= value < 1:
+                raise ParameterError(f"config block 'cv': {key!r} must lie in [0, 1), got {value!r}")
         levels = tuple(float(v) for v in (self.noise_levels_db or ()))
         if any(b >= a for a, b in zip(levels, levels[1:])):
             raise ParameterError("noise levels must be strictly decreasing")
@@ -283,11 +287,12 @@ def _unusable_reason(signal) -> str | None:
 def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
     """WAV directory + labels CSV -> Dataset of checked signals, no features yet.
 
-    The CSV needs 'filename' and 'label' columns. A missing file, a clip
-    shorter than the analysis window and an all-zero clip abort the load
-    unless ``permissive`` is set, in which case they are skipped and
-    listed with their reasons in ``provenance["skipped"]``. Files at
-    different sample rates and a file listed twice are always rejected.
+    The CSV needs 'filename' and 'label' columns. A missing file, a file
+    ``read_wav`` rejects, a clip shorter than the analysis window and an
+    all-zero clip abort the load unless ``permissive`` is set, in which
+    case they are skipped and listed with their reasons in
+    ``provenance["skipped"]``. Files at different sample rates and a file
+    listed twice are always rejected.
     ``provenance["corpus_sha256"]`` is the SHA-256 over each loaded clip's
     filename, label and file bytes, in load order (per clip its filename,
     label and byte count, each ending in a newline, then its bytes): the
@@ -333,7 +338,13 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
                 skipped[row["filename"]] = "missing"
                 continue
             raise ParameterError(f"listed file missing: {path}")
-        signal = read_wav(path)
+        try:
+            signal = read_wav(path)
+        except UnsupportedWavError as exc:
+            if permissive:  # a reason names no path, as the other skip reasons do
+                skipped[row["filename"]] = str(exc).removeprefix(f"{path}: ")
+                continue
+            raise
         rate = signal.sample_rate_hz
         file_at_rate.setdefault(rate, row["filename"])
         if len(file_at_rate) > 1:
@@ -864,16 +875,36 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
 
 
 def significance_from_predictions(predictions_csv):
-    """Rebuild the significance report from a saved predictions.csv."""
+    """Rebuild the significance report from a saved predictions.csv.
+
+    A file that is empty, has another header or holds a row that is not
+    one non-negative integer per column raises ``ParameterError`` naming
+    the file and, for a bad row, its line.
+    """
     with open(predictions_csv, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[int(v) for v in row] for row in reader]
-    if header[:3] != ["sample_index", "fold", "y_true"]:
-        raise ParameterError(f"{predictions_csv}: unexpected column layout")
-    names = header[3:]
-    if not names:
-        raise ParameterError(f"{predictions_csv}: no model columns")
+        header = next(reader, None)
+        if header is None:
+            raise ParameterError(f"{predictions_csv}: empty file")
+        if header[:3] != ["sample_index", "fold", "y_true"]:
+            raise ParameterError(f"{predictions_csv}: unexpected column layout")
+        names = header[3:]
+        if not names:
+            raise ParameterError(f"{predictions_csv}: no model columns")
+        rows = []
+        for row in reader:
+            try:
+                values = [int(v) for v in row]
+            except ValueError:
+                values = []
+            if len(values) != len(header) or min(values) < 0:
+                raise ParameterError(
+                    f"{predictions_csv}, line {reader.line_num}: expected {len(header)} "
+                    f"non-negative integers, got {row!r}"
+                )
+            rows.append(values)
+    if not rows:
+        raise ParameterError(f"{predictions_csv}: no prediction rows")
     data = np.array(rows)
     folds = data[:, 1]
     y_true = data[:, 2]

@@ -199,12 +199,16 @@ def stratified_kfold(
     """Per-class shuffle and round-robin assignment into ``n_folds`` folds.
 
     When requested, a stratified hold-out and validation split (both
-    fractions of the total) are carved off before folding; carved
-    samples get fold id -1 and the corresponding mask set.
+    fractions of the total, each in [0, 1)) are carved off before
+    folding; carved samples get fold id -1 and the corresponding mask set.
     """
     y = np.asarray(y, dtype=int)
     if n_folds < 2:
         raise ParameterError("n_folds must be >= 2")
+    fractions = {"holdout_fraction": holdout_fraction, "validation_fraction": validation_fraction}
+    for name, value in fractions.items():
+        if not 0.0 <= value < 1.0:
+            raise ParameterError(f"{name} must lie in [0, 1), got {value!r}")
     if holdout_fraction + validation_fraction >= 1.0:
         raise ParameterError("hold-out plus validation must leave data to fold")
     rng = np.random.default_rng(seed)

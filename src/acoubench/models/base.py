@@ -54,6 +54,23 @@ class Classifier:
             raise ParameterError(f"{self.kind} model is not fitted")
 
 
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by each row's maximum."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances [rows of A, rows of B], floored at 0 against round-off."""
+    sq = (
+        np.sum(A ** 2, axis=1)[:, None]
+        + np.sum(B ** 2, axis=1)[None, :]
+        - 2.0 * A @ B.T
+    )
+    return np.maximum(sq, 0.0)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Declarative model description: kind, hyperparameters and seed."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from .base import Classifier
+from .base import Classifier, softmax
 from .tree import Tree, pick_split, sorted_prefix_sums
 
 
@@ -55,12 +55,6 @@ def _build_tree(tree, X, g, h, max_depth, gamma_split, lambda_l2) -> np.ndarray:
     return tree.grow(X, node)
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 class GradientBoostedTrees(Classifier):
     """Multiclass softmax boosting with shrinkage."""
 
@@ -87,7 +81,7 @@ class GradientBoostedTrees(Classifier):
         self.lambda_l2 = float(lambda_l2)
 
     def _regularized_loss(self, scores, onehot):
-        probs = _softmax(scores)
+        probs = softmax(scores)
         ce = -float(np.sum(onehot * np.log(np.maximum(probs, 1e-12))))
         return ce + self._omega
 
@@ -101,7 +95,7 @@ class GradientBoostedTrees(Classifier):
         self._omega = 0.0
         self.loss_history_ = [self._regularized_loss(scores, onehot)]
         for _ in range(self.n_rounds):
-            probs = _softmax(scores)
+            probs = softmax(scores)
             for c in range(C):
                 g = probs[:, c] - onehot[:, c]
                 h = probs[:, c] * (1.0 - probs[:, c])
@@ -125,4 +119,4 @@ class GradientBoostedTrees(Classifier):
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_fitted()
-        return _softmax(self._raw_scores(X))
+        return softmax(self._raw_scores(X))

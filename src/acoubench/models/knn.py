@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from .base import Classifier
+from .base import Classifier, squared_distances
 
 _CHUNK = 256  # queries per distance block, bounds peak memory
 
@@ -22,12 +22,7 @@ def cosine_distance(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def _distances(queries, points, metric):
     if metric == "euclidean":
-        sq = (
-            np.sum(queries ** 2, axis=1)[:, None]
-            + np.sum(points ** 2, axis=1)[None, :]
-            - 2.0 * queries @ points.T
-        )
-        return np.sqrt(np.maximum(sq, 0.0))
+        return np.sqrt(squared_distances(queries, points))
     if metric == "manhattan":
         return np.abs(queries[:, None, :] - points[None, :, :]).sum(axis=2)
     if metric == "cosine":

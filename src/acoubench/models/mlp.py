@@ -5,18 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DivergenceError, ParameterError
-from .base import Classifier
+from .base import Classifier, softmax
 
 _ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
 }
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 class MLPClassifier(Classifier):
@@ -63,7 +57,7 @@ class MLPClassifier(Classifier):
         z2 = a1 @ W2 + b2
         a2 = act(z2)
         z3 = a2 @ W3 + b3
-        return z1, a1, z2, a2, _softmax(z3)
+        return z1, a1, z2, a2, softmax(z3)
 
     def loss_and_gradients(self, X, y, weights=None):
         """Mean cross-entropy and its gradients w.r.t. every parameter."""

@@ -278,8 +278,9 @@ def test_criterion_5_learner_sanity():
 
     # SVM dual feasibility and the XOR case
     svm = SVMClassifier(kernel="rbf", C=3.0, seed=3).fit(X, y)
-    for low, high, C in svm.feasibility_trace_:
-        assert 0.0 <= low and high <= C + 1e-12
+    for machine in svm.machines_.values():
+        for low, high in machine.alpha_bounds_history:
+            assert 0.0 <= low and high <= svm.C + 1e-12
     xor_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     xor_y = np.array([0, 1, 1, 0])
     xor = SVMClassifier(kernel="rbf", gamma=1.0, C=10.0, seed=4).fit(xor_X, xor_y)

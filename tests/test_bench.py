@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import re
 import shutil
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +132,10 @@ class TestConfig:
              r"block 'cv': 'holdout_fraction' must be a number, got '0.2'"),
             ({"cv": {"validation_fraction": None}},
              r"block 'cv': 'validation_fraction' must be a number, got None"),
+            ({"cv": {"holdout_fraction": 0.2, "validation_fraction": -0.1}},
+             r"block 'cv': 'validation_fraction' must lie in \[0, 1\), got -0.1"),
+            ({"cv": {"holdout_fraction": 1.0}},
+             r"block 'cv': 'holdout_fraction' must lie in \[0, 1\), got 1.0"),
             ({"timing": {"enabled": "no"}}, r"block 'timing': 'enabled' must be true or false"),
             ({"timing": {"enabled": 0}}, r"block 'timing': 'enabled' must be true or false"),
             ({"timing": {"repetitions": 3.0}}, r"block 'timing': 'repetitions' must be an integer"),
@@ -145,7 +151,8 @@ class TestConfig:
              "model-param", "model-param-seed", "member-param", "member-key", "ensemble-param",
              "model-value", "member-value", "ensemble-no-members",
              "n-folds-string", "n-folds-float", "n-folds-bool", "n-folds-one",
-             "holdout-string", "validation-null", "enabled-string", "enabled-int",
+             "holdout-string", "validation-null", "validation-negative", "holdout-one",
+             "enabled-string", "enabled-int",
              "repetitions-float", "repetitions-string-untimed", "nemenyi-string"],
     )
     def test_bad_config_block_rejected(self, raw, match):
@@ -232,6 +239,28 @@ class TestRunExperiment:
         assert list(report.model_names) == bundle.model_names
         np.testing.assert_allclose(report.mcnemar_p, bundle.significance.mcnemar_p)
         assert report.friedman_chi2 == pytest.approx(bundle.significance.friedman_chi2)
+
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("", r"predictions.csv: empty file"),
+            ("sample_index,fold,y_true,knn\n0,0,1,x\n",
+             r"predictions.csv, line 2: expected 4 non-negative integers, got \['0', '0', '1', 'x'\]"),
+            ("sample_index,fold,y_true,knn\n0,0,1,1\n1,0,2\n", r"predictions.csv, line 3: expected 4"),
+            ("sample_index,fold,y_true,knn\n0,0,-1,1\n", r"predictions.csv, line 2: expected 4"),
+            ("sample_index,fold,y_true,knn\n", r"predictions.csv: no prediction rows"),
+        ],
+        ids=["empty", "non-integer", "ragged", "negative", "header-only"],
+    )
+    def test_malformed_predictions_fail_with_cli_message(self, tmp_path, capsys, text, match):
+        path = tmp_path / "predictions.csv"
+        path.write_text(text)
+        rc = cli_main(["stats", "--predictions", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli] ")
+        assert re.search(match, err)
 
 
 class TestNoiseSweep:
@@ -501,6 +530,31 @@ class TestLoadCorpus:
             ds = load_corpus(wav_dir, labels, permissive=True)
         assert len(ds) == 3
         assert reason in ds.provenance["skipped"]["bad.wav"]
+
+    def test_unsupported_wav_rejected_unless_permissive(self, corpus):
+        wav_dir, labels = corpus
+        good = labels.read_text()
+        for name, channels, width, reason in [
+            ("stereo.wav", 2, 2, "expected mono, got 2 channels"),
+            ("byte.wav", 1, 1, "expected 16-bit samples, got 8-bit"),
+        ]:
+            with wave.open(str(wav_dir / name), "wb") as wf:
+                wf.setnchannels(channels)
+                wf.setsampwidth(width)
+                wf.setframerate(16000)
+                wf.writeframes(bytes(8000 * channels * width))
+            alone = labels.with_name(f"{name}.csv")
+            alone.write_text(f"{good}{name},1\n")
+            with pytest.raises(UnsupportedWavError, match=f"{name}: {reason}"):
+                load_corpus(wav_dir, alone)
+        labels.write_text(f"{good}stereo.wav,1\nbyte.wav,1\n")
+        with pytest.warns(UserWarning, match="skipped 2 files"):
+            ds = load_corpus(wav_dir, labels, permissive=True)
+        assert len(ds) == 3
+        assert ds.provenance["skipped"] == {
+            "stereo.wav": "expected mono, got 2 channels",
+            "byte.wav": "expected 16-bit samples, got 8-bit",
+        }
 
     def test_skipped_files_land_in_the_manifest(self, tmp_path):
         wav_dir = tmp_path / "corpus"

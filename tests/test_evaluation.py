@@ -272,6 +272,14 @@ class TestStratifiedKFold:
         # stratified: each class contributes equally to the hold-out
         np.testing.assert_array_equal(np.bincount(y[plan.holdout_mask]), [4] * 5)
 
+    @pytest.mark.parametrize(
+        "holdout, validation", [(0.2, -0.1), (-0.2, 0.0), (1.0, 0.0), (0.0, 1.5)]
+    )
+    def test_fraction_outside_unit_interval_rejected(self, holdout, validation):
+        y = np.repeat(np.arange(5), 10)
+        with pytest.raises(ParameterError, match=r"_fraction must lie in \[0, 1\)"):
+            stratified_kfold(y, 5, seed=1, holdout_fraction=holdout, validation_fraction=validation)
+
     def test_folds_partition_cv_data(self):
         y = np.repeat(np.arange(2), 25)
         plan = stratified_kfold(y, 5, seed=6, holdout_fraction=0.2)
