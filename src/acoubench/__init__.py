@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .audio import AudioSignal, normalize_amplitude, normalize_rms
 from .dataset import Dataset
-from .features import FeatureVector, extract_all
+from .features import extract_all
 from .registry import REGISTRY, REGISTRY_VERSION
 from .synth import FaultClass, GeneratorConfig, generate_dataset
 
@@ -13,7 +13,6 @@ __all__ = [
     "normalize_amplitude",
     "normalize_rms",
     "Dataset",
-    "FeatureVector",
     "extract_all",
     "REGISTRY",
     "REGISTRY_VERSION",

@@ -80,11 +80,16 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-# what each cv, timing and stats field accepts: (test, description)
+# what each cv, noise, timing and stats field accepts: (test, description)
 _FIELD_TYPES = {
     "n_folds": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
     "holdout_fraction": (_is_real, "a number"),
     "validation_fraction": (_is_real, "a number"),
+    # NaN and -inf fail the comparison; inf is the noise-free condition
+    "noise_levels_db": (
+        lambda v: isinstance(v, (list, tuple)) and all(_is_real(x) and x > -math.inf for x in v),
+        "a list of numbers (inf for no noise)",
+    ),
     "timing_enabled": (lambda v: isinstance(v, bool), "true or false"),
     "timing_repetitions": (_is_int, "an integer"),
     "nemenyi_q_alpha": (lambda v: v is None or _is_real(v), "a number or null"),
@@ -173,7 +178,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not 0 <= value < 1:
                 raise ParameterError(f"config block 'cv': {key!r} must lie in [0, 1), got {value!r}")
-        levels = tuple(float(v) for v in (self.noise_levels_db or ()))
+        levels = tuple(float(v) for v in self.noise_levels_db)
         if any(b >= a for a, b in zip(levels, levels[1:])):
             raise ParameterError("noise levels must be strictly decreasing")
         if levels and not self.holdout_fraction > 0:
@@ -877,9 +882,10 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
 def significance_from_predictions(predictions_csv):
     """Rebuild the significance report from a saved predictions.csv.
 
-    A file that is empty, has another header or holds a row that is not
-    one non-negative integer per column raises ``ParameterError`` naming
-    the file and, for a bad row, its line.
+    A file that is empty, has another header, holds a row that is not
+    one non-negative integer per column or predicts a class above the
+    largest true label raises ``ParameterError`` naming the file and, for
+    a bad row, its line.
     """
     with open(predictions_csv, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -911,6 +917,13 @@ def significance_from_predictions(predictions_csv):
     preds = data[:, 3:]
     correctness = (preds == y_true[:, None]).T
     n_classes = int(y_true.max()) + 1
+    above = np.flatnonzero((preds >= n_classes).any(axis=1))
+    if len(above):
+        row = above[0]  # every row is one line, after the header
+        raise ParameterError(
+            f"{predictions_csv}, line {row + 2}: predicted class {int(preds[row].max())} "
+            f"is above the largest true label, {n_classes - 1}"
+        )
     fold_ids = sorted(set(folds.tolist()))
     fold_f1 = np.zeros((len(fold_ids), len(names)))
     for fi, fold in enumerate(fold_ids):

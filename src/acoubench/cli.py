@@ -28,7 +28,7 @@ from .bench import (
     write_bundle,
     write_csv,
 )
-from .errors import AcoubenchError, PipelineStageError
+from .errors import AcoubenchError, ParameterError, PipelineStageError
 from .features import extract_matrix, save_feature_csv
 from .registry import save_registry_csv
 from .synth import FaultClass, GeneratorConfig, generate_dataset
@@ -93,7 +93,12 @@ def _cmd_noise(args) -> int:
     cfg = _load_config(args)
     levels = None
     if args.levels:
-        levels = tuple(float(v) for v in args.levels.split(","))
+        try:
+            levels = tuple(float(v) for v in args.levels.split(","))
+        except ValueError:
+            raise ParameterError(
+                f"--levels must be comma-separated numbers, got {args.levels!r}"
+            ) from None
     names, conditions, table, _ = run_noise_sweep(cfg, levels_db=levels)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

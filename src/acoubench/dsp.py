@@ -1,10 +1,10 @@
 """Spectral transforms and mid-level signal representations.
 
 Everything here is a pure function of its inputs: Hann-windowed STFT
-power spectrograms (``numpy.fft``), mel-frequency cepstra of a
-spectrogram, Daubechies wavelet subband energies and chroma folding.
-Filterbank and DCT tables are cached read-only, so the kernels are safe
-to call from multiple threads.
+power spectrograms (``numpy.fft``), and, as plain arrays, mel-frequency
+cepstra of a spectrogram, Daubechies wavelet subband energies and a
+spectrogram's chroma profile. Filterbank and DCT tables are cached
+read-only, so the kernels are safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ LOG_ENERGY_FLOOR = 1e-10
 
 __all__ = [
     "Spectrogram",
-    "WaveletDecomposition",
     "next_pow2",
     "stft",
     "mel_filterbank",
@@ -29,7 +28,6 @@ __all__ = [
     "default_window_size",
     "dwt_energies",
     "chroma_vector",
-    "chroma_mean",
 ]
 
 
@@ -164,25 +162,6 @@ _DB4_HI = _DB4_LO[::-1].copy()
 _DB4_HI[1::2] *= -1.0
 
 
-@dataclass(frozen=True)
-class WaveletDecomposition:
-    """Subband energies of a multilevel discrete wavelet decomposition.
-
-    ``detail_energies[i]`` is the level-(i+1) detail band energy D1..Dn;
-    the transform is orthonormal with periodic extension, so detail plus
-    approximation energies reproduce the total signal energy.
-    """
-
-    detail_energies: tuple
-    approx_energy: float
-    total_energy: float
-
-    @property
-    def subband_energies(self) -> np.ndarray:
-        """D1..Dn followed by the final approximation energy."""
-        return np.array(list(self.detail_energies) + [self.approx_energy])
-
-
 def _dwt_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One periodized analysis step; returns (approximation, detail).
 
@@ -204,8 +183,13 @@ def _dwt_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return windows @ _DB4_LO, windows @ _DB4_HI
 
 
-def dwt_energies(x: AudioSignal, levels: int = 5) -> WaveletDecomposition:
-    """Daubechies-4 subband energies over ``levels`` decomposition levels."""
+def dwt_energies(x: AudioSignal, levels: int = 5) -> np.ndarray:
+    """Daubechies-4 subband energies ``[D1, ..., Dn, An]`` over ``levels`` levels.
+
+    ``Di`` is the level-i detail band energy and ``An`` that of the final
+    approximation. The transform is orthonormal with periodic extension,
+    so the energies sum to the signal's energy.
+    """
     samples = x.samples
     if levels < 1:
         raise ParameterError("levels must be >= 1")
@@ -213,24 +197,20 @@ def dwt_energies(x: AudioSignal, levels: int = 5) -> WaveletDecomposition:
         raise ParameterError(
             f"signal of {len(samples)} samples too short for {levels} levels"
         )
-    total = float(np.sum(samples ** 2))
-    details = []
+    energies = []
     approx = samples
     for _ in range(levels):
         approx, detail = _dwt_step(approx)
-        details.append(float(np.sum(detail ** 2)))
-    return WaveletDecomposition(
-        detail_energies=tuple(details),
-        approx_energy=float(np.sum(approx ** 2)),
-        total_energy=total,
-    )
+        energies.append(np.sum(detail ** 2))
+    energies.append(np.sum(approx ** 2))
+    return np.array(energies)
 
 
 # ---------------------------------------------------------------------------
 # Chroma
 # ---------------------------------------------------------------------------
 
-def chroma_vector(spec: Spectrogram, sample_rate_hz: float) -> np.ndarray:
+def chroma_vector(spec: Spectrogram) -> np.ndarray:
     """12-bin pitch-class power profile averaged over frames (A = class 9).
 
     Bin powers fold onto the chromatic scale with A4 = 440 Hz as the
@@ -239,17 +219,11 @@ def chroma_vector(spec: Spectrogram, sample_rate_hz: float) -> np.ndarray:
     if spec.power.shape[0] == 0:
         raise ParameterError("empty spectrogram")
     freqs = spec.frequencies
-    valid = freqs > 0
-    midi = 69.0 + 12.0 * np.log2(freqs[valid] / 440.0)
+    bins = np.flatnonzero(freqs > 0)
+    midi = 69.0 + 12.0 * np.log2(freqs[bins] / 440.0)
     classes = np.round(midi).astype(int) % 12
     folded = np.zeros((spec.power.shape[0], 12))
     for pc in range(12):
-        cols = np.where(valid)[0][classes == pc]
-        if len(cols):
-            folded[:, pc] = spec.power[:, cols].sum(axis=1)
+        folded[:, pc] = spec.power[:, bins[classes == pc]].sum(axis=1)
     return folded.mean(axis=0)
 
-
-def chroma_mean(spec: Spectrogram, sample_rate_hz: float) -> float:
-    """Mean of the 12 frame-averaged chroma values."""
-    return float(chroma_vector(spec, sample_rate_hz).mean())

@@ -2,6 +2,8 @@
 
 Three extractor groups (35 time, 45 frequency, 47 time-frequency)
 produce values in the fixed order defined by :mod:`acoubench.registry`.
+The frequency and time-frequency groups share one STFT per clip
+(:func:`spectrogram`); each computes its other intermediates itself.
 Degenerate inputs never poison the output: zero-variance moments,
 spectral statistics of silence and empty ratios all collapse to 0, so
 every feature is finite for every valid signal.
@@ -10,7 +12,6 @@ every feature is finite for every valid signal.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,28 +19,13 @@ import numpy as np
 from . import dsp
 from .audio import AudioSignal
 from .errors import ParameterError
-from .registry import FEATURE_COUNT, REGISTRY_VERSION, feature_names
+from .registry import FEATURE_COUNT, feature_names
 
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Ordered 127-value descriptor of one signal."""
-
-    values: np.ndarray
-    registry_version: str = REGISTRY_VERSION
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.shape != (FEATURE_COUNT,):
-            raise ParameterError(f"feature vector must have {FEATURE_COUNT} values")
-        if not np.all(np.isfinite(self.values)):
-            raise ParameterError("feature vector contains non-finite values")
-
-
 # ---------------------------------------------------------------------------
-# spectral statistic helpers (1-D spectrum or 2-D spectrogram rows)
+# spectral statistic helpers (float 1-D spectrum or 2-D spectrogram rows)
 # ---------------------------------------------------------------------------
 
 def _safe_div(num, den):
@@ -47,22 +33,26 @@ def _safe_div(num, den):
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
-def spectral_centroid(power, freqs):
-    power = np.asarray(power, dtype=float)
-    total = power.sum(axis=-1)
-    return _safe_div((power * freqs).sum(axis=-1), total)
+def spectral_shape(power, freqs):
+    """Centroid, bandwidth, skewness and kurtosis of the power-weighted frequencies.
 
-
-def spectral_bandwidth(power, freqs):
-    power = np.asarray(power, dtype=float)
+    Along the last axis; each is 0 where the power is all zero, and the
+    skewness and kurtosis also where the bandwidth is 0.
+    """
     total = power.sum(axis=-1)
-    centroid = spectral_centroid(power, freqs)
-    dev = (freqs - centroid[..., None]) ** 2
-    return np.sqrt(_safe_div((power * dev).sum(axis=-1), total))
+    centroid = _safe_div((power * freqs).sum(axis=-1), total)
+    dev = freqs - centroid[..., None]
+    weighted = power * (dev * dev)
+    var = _safe_div(weighted.sum(axis=-1), total)
+    weighted *= dev
+    m3 = _safe_div(weighted.sum(axis=-1), total)
+    weighted *= dev
+    m4 = _safe_div(weighted.sum(axis=-1), total)
+    bandwidth = np.sqrt(var)
+    return centroid, bandwidth, _safe_div(m3, bandwidth ** 3), _safe_div(m4, var ** 2)
 
 
 def spectral_rolloff(power, freqs, fraction=0.85):
-    power = np.asarray(power, dtype=float)
     total = power.sum(axis=-1, keepdims=True)
     cum = np.cumsum(power, axis=-1)
     hit = cum >= fraction * total
@@ -72,7 +62,6 @@ def spectral_rolloff(power, freqs, fraction=0.85):
 
 
 def spectral_flatness(power):
-    power = np.asarray(power, dtype=float)
     total = power.sum(axis=-1)
     floored = np.maximum(power, _EPS)
     geo = np.exp(np.mean(np.log(floored), axis=-1))
@@ -80,7 +69,6 @@ def spectral_flatness(power):
 
 
 def spectral_entropy(power):
-    power = np.asarray(power, dtype=float)
     total = power.sum(axis=-1, keepdims=True)
     p = _safe_div(power, total)
     plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
@@ -88,60 +76,31 @@ def spectral_entropy(power):
     return np.where(total[..., 0] > 0, ent, 0.0)
 
 
-def _spectral_shape_moments(power, freqs):
-    """Skewness and kurtosis of the power-weighted frequency distribution."""
-    power = np.asarray(power, dtype=float)
-    total = power.sum(axis=-1)
-    centroid = spectral_centroid(power, freqs)
-    dev = freqs - centroid[..., None]
-    weighted = power * (dev * dev)
-    var = _safe_div(weighted.sum(axis=-1), total)
-    weighted *= dev
-    m3 = _safe_div(weighted.sum(axis=-1), total)
-    weighted *= dev
-    m4 = _safe_div(weighted.sum(axis=-1), total)
-    sigma = np.sqrt(var)
-    skew = _safe_div(m3, sigma ** 3)
-    kurt = _safe_div(m4, var ** 2)
-    return skew, kurt
-
-
 def dominant_frequency(power, freqs):
-    power = np.asarray(power, dtype=float)
     total = power.sum(axis=-1)
     return np.where(total > 0, freqs[np.argmax(power, axis=-1)], 0.0)
 
 
-def _octave_band_edges(nyquist_hz: float, n_bands: int = 8) -> np.ndarray:
-    return nyquist_hz / (2.0 ** np.arange(n_bands, -1, -1))
-
-
-def octave_band_energies(power, freqs, n_bands: int = 8):
-    """Per-octave-band power along the last axis; highest band ends at Nyquist."""
-    edges = _octave_band_edges(freqs[-1], n_bands)
+def _octave_cuts(freqs, n_bands: int = 8) -> np.ndarray:
+    """Start bin of each octave band, then ``len(freqs)``; the highest band ends at Nyquist."""
+    edges = freqs[-1] / (2.0 ** np.arange(n_bands, -1, -1))
     cuts = np.searchsorted(freqs, edges, side="left")
     cuts[-1] = len(freqs)
-    out = [
-        np.asarray(power, dtype=float)[..., cuts[b] : cuts[b + 1]].sum(axis=-1)
-        for b in range(n_bands)
-    ]
-    return np.stack(out, axis=-1)
+    return cuts
 
 
-def spectral_contrast(power, freqs, n_bands: int = 8):
-    """Mean over octave bands of log10(peak power / valley power)."""
-    power = np.asarray(power, dtype=float)
-    edges = _octave_band_edges(freqs[-1], n_bands)
-    cuts = np.searchsorted(freqs, edges, side="left")
-    cuts[-1] = len(freqs)
+def octave_band_energies(power, cuts):
+    """Per-octave-band power along the last axis, bands as :func:`_octave_cuts` gives them."""
+    return np.stack([power[..., a:b].sum(axis=-1) for a, b in zip(cuts[:-1], cuts[1:])], axis=-1)
+
+
+def spectral_contrast(power, cuts):
+    """Mean over the non-empty octave bands of log10(peak power / valley power)."""
     contrasts = []
-    for b in range(n_bands):
-        band = power[..., cuts[b] : cuts[b + 1]]
-        if band.shape[-1] == 0:
-            continue
-        peak = band.max(axis=-1)
-        valley = band.min(axis=-1)
-        contrasts.append(np.log10((peak + _EPS) / (valley + _EPS)))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b > a:
+            band = power[..., a:b]
+            contrasts.append(np.log10((band.max(axis=-1) + _EPS) / (band.min(axis=-1) + _EPS)))
     if not contrasts:
         return np.zeros(power.shape[:-1])
     return np.mean(np.stack(contrasts, axis=-1), axis=-1)
@@ -149,7 +108,7 @@ def spectral_contrast(power, freqs, n_bands: int = 8):
 
 def spectral_flux(power_rows):
     """Per-step L2 difference of successive unit-norm magnitude frames."""
-    mags = np.sqrt(np.asarray(power_rows, dtype=float))
+    mags = np.sqrt(power_rows)
     norms = np.linalg.norm(mags, axis=1, keepdims=True)
     unit = _safe_div(mags, norms)
     if unit.shape[0] < 2:
@@ -157,56 +116,21 @@ def spectral_flux(power_rows):
     return np.linalg.norm(np.diff(unit, axis=0), axis=1)
 
 
-# ---------------------------------------------------------------------------
-# shared per-signal intermediates
-# ---------------------------------------------------------------------------
+def full_spectrum(x: AudioSignal):
+    """Power spectrum of the whole clip zero-padded to a power of two, and its bin frequencies."""
+    nfft = dsp.next_pow2(len(x.samples))
+    power = np.abs(np.fft.rfft(x.samples, n=nfft)) ** 2
+    return power, np.arange(nfft // 2 + 1) * (x.sample_rate_hz / nfft)
 
-class _SignalContext:
-    """Lazily computed spectral intermediates shared across feature groups."""
 
-    def __init__(self, x: AudioSignal):
-        self.x = x
-        self.window = dsp.default_window_size(x.sample_rate_hz)
-        self.hop = self.window // 2
-        self._spectrogram = None
-        self._full_power = None
-        self._full_freqs = None
-        self._mfcc_frames = None
-        self._dwt = None
+def _hop(sample_rate_hz: float) -> int:
+    """Hop of :func:`spectrogram`: half its ~32 ms window."""
+    return dsp.default_window_size(sample_rate_hz) // 2
 
-    @property
-    def spectrogram(self) -> dsp.Spectrogram:
-        if self._spectrogram is None:
-            if len(self.x.samples) < self.window:
-                raise ParameterError(
-                    f"signal of {len(self.x.samples)} samples shorter than one "
-                    f"{self.window}-sample analysis window"
-                )
-            self._spectrogram = dsp.stft(self.x, self.window, self.hop)
-        return self._spectrogram
 
-    @property
-    def full_spectrum(self):
-        """One-sided power spectrum of the whole (zero-padded) signal."""
-        if self._full_power is None:
-            nfft = dsp.next_pow2(len(self.x.samples))
-            self._full_power = np.abs(np.fft.rfft(self.x.samples, n=nfft)) ** 2
-            self._full_freqs = np.arange(nfft // 2 + 1) * (self.x.sample_rate_hz / nfft)
-        return self._full_power, self._full_freqs
-
-    @property
-    def mfcc_frames(self) -> np.ndarray:
-        if self._mfcc_frames is None:
-            self._mfcc_frames = dsp.mfcc_from_spectrogram(
-                self.spectrogram, self.x.sample_rate_hz, n_coeffs=13
-            )
-        return self._mfcc_frames
-
-    @property
-    def dwt(self) -> dsp.WaveletDecomposition:
-        if self._dwt is None:
-            self._dwt = dsp.dwt_energies(self.x, levels=5)
-        return self._dwt
+def spectrogram(x: AudioSignal) -> dsp.Spectrogram:
+    """The STFT that the frequency and time-frequency groups share."""
+    return dsp.stft(x, dsp.default_window_size(x.sample_rate_hz), _hop(x.sample_rate_hz))
 
 
 # ---------------------------------------------------------------------------
@@ -352,33 +276,33 @@ def time_features(x: AudioSignal) -> np.ndarray:
 # frequency-domain group (45)
 # ---------------------------------------------------------------------------
 
-def freq_features(x: AudioSignal, _ctx: _SignalContext | None = None) -> np.ndarray:
-    ctx = _ctx or _SignalContext(x)
-    power, freqs = ctx.full_spectrum
+def freq_features(x: AudioSignal, sgram: dsp.Spectrogram) -> np.ndarray:
+    """The 45 frequency-domain values; ``sgram`` is :func:`spectrogram` of ``x``."""
+    power, freqs = full_spectrum(x)
     total = power.sum()
 
-    skew, kurt = _spectral_shape_moments(power, freqs)
-    band_energies = octave_band_energies(power, freqs)
-    band_ratios = _safe_div(band_energies, total)
+    centroid, bandwidth, skew, kurt = spectral_shape(power, freqs)
+    cuts = _octave_cuts(freqs)
+    band_ratios = _safe_div(octave_band_energies(power, cuts), total)
 
-    flux_track = spectral_flux(ctx.spectrogram.power)
+    flux_track = spectral_flux(sgram.power)
     mean_flux = float(flux_track.mean()) if len(flux_track) else 0.0
 
-    mf = ctx.mfcc_frames
+    mf = dsp.mfcc_from_spectrogram(sgram, x.sample_rate_hz, n_coeffs=13)
     mfcc_means = mf.mean(axis=0)
     mfcc_stds = mf.std(axis=0)
 
-    chroma = dsp.chroma_mean(ctx.spectrogram, x.sample_rate_hz)
+    chroma = float(dsp.chroma_vector(sgram).mean())
 
     head = np.array(
         [
-            float(spectral_centroid(power, freqs)),
-            float(spectral_bandwidth(power, freqs)),
+            float(centroid),
+            float(bandwidth),
             float(spectral_rolloff(power, freqs)),
             mean_flux,
             float(spectral_flatness(power)),
             float(spectral_entropy(power)),
-            float(spectral_contrast(power, freqs)),
+            float(spectral_contrast(power, cuts)),
             float(skew),
             float(kurt),
             float(dominant_frequency(power, freqs)),
@@ -397,30 +321,27 @@ def _traj_stats(values: np.ndarray) -> list[float]:
     return [float(values.mean()), float(values.std()), float(values.max())]
 
 
-def timefreq_features(x: AudioSignal, _ctx: _SignalContext | None = None) -> np.ndarray:
-    if len(x.samples) < 2 ** 5:
-        raise ParameterError("signal too short for a 5-level wavelet decomposition")
-    ctx = _ctx or _SignalContext(x)
-    sgram = ctx.spectrogram
+def timefreq_features(x: AudioSignal, sgram: dsp.Spectrogram) -> np.ndarray:
+    """The 47 time-frequency values; ``sgram`` is :func:`spectrogram` of ``x``."""
     power = sgram.power
     freqs = sgram.frequencies
 
+    centroid, bandwidth, _, _ = spectral_shape(power, freqs)
     values: list[float] = []
-    values += _traj_stats(spectral_centroid(power, freqs))
-    values += _traj_stats(spectral_bandwidth(power, freqs))
+    values += _traj_stats(centroid)
+    values += _traj_stats(bandwidth)
     values += _traj_stats(spectral_rolloff(power, freqs))
     values += _traj_stats(spectral_flatness(power))
     values += _traj_stats(spectral_flux(power))
 
-    dwt = ctx.dwt
-    subbands = dwt.subband_energies
+    subbands = dsp.dwt_energies(x, levels=5)
     values += [float(v) for v in subbands]
     shares = _safe_div(subbands, subbands.sum())
     values += [float(v) for v in shares]
     plogp = np.where(shares > 0, shares * np.log(np.where(shares > 0, shares, 1.0)), 0.0)
     values.append(float(-plogp.sum()))
 
-    contrast_track = spectral_contrast(power, freqs)
+    contrast_track = spectral_contrast(power, _octave_cuts(freqs))
     values += [float(contrast_track.mean()), float(contrast_track.std())]
 
     frame_power = power.sum(axis=1)
@@ -429,7 +350,8 @@ def timefreq_features(x: AudioSignal, _ctx: _SignalContext | None = None) -> np.
         frame_power, float(frame_power.mean()), float(frame_power.std()), (3,)
     )
 
-    mod_freq, mod_strength = _modulation_peak(frame_power, x.sample_rate_hz / ctx.hop)
+    frame_rate_hz = x.sample_rate_hz / _hop(x.sample_rate_hz)
+    mod_freq, mod_strength = _modulation_peak(frame_power, frame_rate_hz)
     values += [mod_freq, mod_strength]
 
     values += _traj_stats(spectral_entropy(power))
@@ -475,18 +397,24 @@ def _modulation_peak(trajectory: np.ndarray, frame_rate_hz: float) -> tuple[floa
 # assembly
 # ---------------------------------------------------------------------------
 
-def extract_all(x: AudioSignal) -> FeatureVector:
+def extract_all(x: AudioSignal) -> np.ndarray:
     """Full 127-value vector: time[0..34] + frequency[35..79] + time-frequency[80..126]."""
-    ctx = _SignalContext(x)
-    values = np.concatenate(
-        [time_features(x), freq_features(x, ctx), timefreq_features(x, ctx)]
-    )
-    return FeatureVector(values=values)
+    time = time_features(x)  # before the spectrogram: its temporaries are the clip's peak memory
+    sgram = spectrogram(x)
+    return np.concatenate([time, freq_features(x, sgram), timefreq_features(x, sgram)])
 
 
 def extract_matrix(signals) -> np.ndarray:
-    """Feature matrix [n_signals, 127]; rows follow input order."""
-    return np.vstack([extract_all(sig).values for sig in signals])
+    """Feature matrix [n_signals, 127]; rows follow input order.
+
+    Raises ``ParameterError`` unless every row has 127 finite values.
+    """
+    matrix = np.vstack([extract_all(sig) for sig in signals])
+    if matrix.shape[1] != FEATURE_COUNT:
+        raise ParameterError(f"feature vector must have {FEATURE_COUNT} values")
+    if not np.all(np.isfinite(matrix)):
+        raise ParameterError("feature vector contains non-finite values")
+    return matrix
 
 
 def save_feature_csv(path, features: np.ndarray, labels=None) -> None:

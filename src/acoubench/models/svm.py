@@ -198,6 +198,8 @@ class SVMClassifier(Classifier):
         scores = self.decision_function(X)
         rows = np.arange(len(scores))
         votes = np.zeros((len(scores), self.class_count))
+        if not self.machines_:  # one class, so no pair to vote on
+            votes[:, 0] = 1.0
         for column, (a, b) in enumerate(self.machines_):
             votes[rows, np.where(scores[:, column] >= 0, a, b)] += 1.0
         return votes / votes.sum(axis=1, keepdims=True)

@@ -2,10 +2,9 @@
 
 This file is the single source of truth for feature identity: ids,
 names, domains and ordering are frozen here. ``REGISTRY_VERSION`` is
-recorded in a bench run's ``manifest.txt``, in ``registry.csv`` and in
-every ``FeatureVector``. Entries are also
-flagged by how they respond to rescaling the waveform, which the
-extraction property tests rely on.
+recorded in a bench run's ``manifest.txt`` and in ``registry.csv``.
+Entries are also flagged by how they respond to rescaling the waveform,
+which the extraction property tests rely on.
 
 Domain budget: 35 time, 45 frequency, 47 time-frequency.
 """

@@ -26,7 +26,7 @@ from acoubench.evaluation import (
     mcc,
     mcnemar,
 )
-from acoubench.features import _SignalContext, extract_all
+from acoubench.features import extract_all, full_spectrum
 from acoubench.models import (
     GradientBoostedTrees,
     MLPClassifier,
@@ -106,7 +106,7 @@ def test_criterion_1_dsp_correctness():
         want = _direct_dft_batch(batch)
         for row, x in enumerate(batch):
             # the one-sided power spectrum the extractor takes of a whole clip
-            got, _ = _SignalContext(AudioSignal(x, SR)).full_spectrum
+            got, _ = full_spectrum(AudioSignal(x, SR))
             power = np.abs(want[row][: n // 2 + 1]) ** 2
             assert np.linalg.norm(got - power) <= 1e-9 * np.linalg.norm(power)
             e_time = np.sum(x ** 2)
@@ -116,9 +116,9 @@ def test_criterion_1_dsp_correctness():
     for _ in range(100):
         n = int(rng.integers(64, 4096))
         sig = AudioSignal(rng.normal(size=n), SR)
-        dec = dwt_energies(sig)
-        total = sum(dec.detail_energies) + dec.approx_energy
-        assert abs(total - dec.total_energy) <= 1e-6 * dec.total_energy
+        total = dwt_energies(sig).sum()
+        energy = np.sum(sig.samples ** 2)
+        assert abs(total - energy) <= 1e-6 * energy
 
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"DSP correctness block took {elapsed:.1f}s"
@@ -142,8 +142,8 @@ def test_criterion_2_feature_contract():
 
     for sig in corpus:
         vec = extract_all(sig)
-        assert vec.values.shape == (127,)
-        assert np.all(np.isfinite(vec.values))
+        assert vec.shape == (127,)
+        assert np.all(np.isfinite(vec))
 
     counts = {"time": 0, "frequency": 0, "time-frequency": 0}
     for entry in REGISTRY:

@@ -143,6 +143,15 @@ class TestConfig:
              r"block 'timing': 'repetitions' must be an integer"),
             ({"stats": {"nemenyi_q_alpha": "x"}},
              r"block 'stats': 'nemenyi_q_alpha' must be a number or null, got 'x'"),
+            ({"noise": {"levels_db": "40"}},
+             r"block 'noise': 'levels_db' must be a list of numbers \(inf for no noise\), got '40'"),
+            ({"noise": {"levels_db": 40}}, r"block 'noise': 'levels_db' must be a list of numbers"),
+            ({"noise": {"levels_db": [30, float("nan")]}},
+             r"block 'noise': 'levels_db' must be a list of numbers"),
+            ({"noise": {"levels_db": [30, -math.inf]}},
+             r"block 'noise': 'levels_db' must be a list of numbers"),
+            ({"noise": {"levels_db": [True]}}, r"block 'noise': 'levels_db' must be a list of numbers"),
+            ({"noise": {"levels_db": None}}, r"block 'noise': 'levels_db' must be a list of numbers"),
         ],
         ids=["cv", "noise", "timing", "stats", "not-an-object", "config-not-an-object",
              "two-repetitions",
@@ -153,7 +162,9 @@ class TestConfig:
              "n-folds-string", "n-folds-float", "n-folds-bool", "n-folds-one",
              "holdout-string", "validation-null", "validation-negative", "holdout-one",
              "enabled-string", "enabled-int",
-             "repetitions-float", "repetitions-string-untimed", "nemenyi-string"],
+             "repetitions-float", "repetitions-string-untimed", "nemenyi-string",
+             "levels-string", "levels-number", "levels-nan", "levels-minus-inf", "levels-bool",
+             "levels-null"],
     )
     def test_bad_config_block_rejected(self, raw, match):
         with pytest.raises(ParameterError, match=match):
@@ -250,8 +261,10 @@ class TestRunExperiment:
             ("sample_index,fold,y_true,knn\n0,0,1,1\n1,0,2\n", r"predictions.csv, line 3: expected 4"),
             ("sample_index,fold,y_true,knn\n0,0,-1,1\n", r"predictions.csv, line 2: expected 4"),
             ("sample_index,fold,y_true,knn\n", r"predictions.csv: no prediction rows"),
+            ("sample_index,fold,y_true,knn\n0,0,0,0\n1,0,1,1\n2,1,1,3\n3,1,0,0\n",
+             r"predictions.csv, line 4: predicted class 3 is above the largest true label, 1"),
         ],
-        ids=["empty", "non-integer", "ragged", "negative", "header-only"],
+        ids=["empty", "non-integer", "ragged", "negative", "header-only", "prediction-above-labels"],
     )
     def test_malformed_predictions_fail_with_cli_message(self, tmp_path, capsys, text, match):
         path = tmp_path / "predictions.csv"
@@ -688,6 +701,14 @@ class TestCLI:
             rows = list(csv.reader(fh))
         assert rows[0] == ["Algorithm", "Clean", "SNR 30 dB", "SNR 10 dB", "Robustness Index"]
         assert len(rows) == 1 + 2
+
+    def test_non_numeric_levels_fail_with_cli_message(self, tmp_path, capsys):
+        rc = cli_main(
+            ["noise", "--out", str(tmp_path / "o"), "--seed", "21", "--levels", "40,abc"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [cli] --levels must be comma-separated numbers, got '40,abc'")
 
     def test_never_mutates_input_directory(self, tmp_path):
         corpus_dir = tmp_path / "corpus"

@@ -3,19 +3,19 @@ import csv
 import numpy as np
 import pytest
 
+from acoubench import dsp, features
 from acoubench.audio import AudioSignal, normalize_amplitude
 from acoubench.dataset import fit_scaler
 from acoubench.dsp import dwt_energies
 from acoubench.errors import ParameterError
 from acoubench.features import (
-    FeatureVector,
-    _SignalContext,
     extract_all,
     extract_matrix,
     freq_features,
-    spectral_bandwidth,
-    spectral_centroid,
+    full_spectrum,
     spectral_rolloff,
+    spectral_shape,
+    spectrogram,
     time_features,
     timefreq_features,
 )
@@ -170,14 +170,13 @@ def defined_moments(x: AudioSignal) -> dict:
     t_var = (w * (times - t_centroid) ** 2).sum()
     out["Temporal Skewness"] = (w * (times - t_centroid) ** 3).sum() / t_var ** 1.5
     out["Temporal Kurtosis"] = (w * (times - t_centroid) ** 4).sum() / t_var ** 2
-    ctx = _SignalContext(x)
-    power, freqs = ctx.full_spectrum
+    power, freqs = full_spectrum(x)
     p = power / power.sum()
     f_centroid = (p * freqs).sum()
     f_var = (p * (freqs - f_centroid) ** 2).sum()
     out["Spectral Skewness"] = (p * (freqs - f_centroid) ** 3).sum() / f_var ** 1.5
     out["Spectral Kurtosis"] = (p * (freqs - f_centroid) ** 4).sum() / f_var ** 2
-    frame_power = ctx.spectrogram.power.sum(axis=1)
+    frame_power = spectrogram(x).power.sum(axis=1)
     zf = (frame_power - frame_power.mean()) / frame_power.std()
     out["Frame Energy Skewness"] = np.mean(zf ** 3)
     return out
@@ -189,7 +188,7 @@ class TestProductMoments:
     @pytest.mark.parametrize("clip", list(moment_stress_corpus()))
     def test_products_match_the_power_definitions(self, clip):
         x = moment_stress_corpus()[clip]
-        values = extract_all(x).values
+        values = extract_all(x)
         compared = 0
         for name, reference in defined_moments(x).items():
             if reference == 0:
@@ -228,44 +227,49 @@ class TestSpectralHelpers:
         freqs = np.arange(0, 2001, 100.0)
         power = np.zeros(len(freqs))
         power[freqs == 1000.0] = 4.0
-        assert spectral_centroid(power, freqs) == pytest.approx(1000.0)
+        centroid, bandwidth, _, _ = spectral_shape(power, freqs)
+        assert centroid == pytest.approx(1000.0)
         assert spectral_rolloff(power, freqs) == pytest.approx(1000.0)
-        assert spectral_bandwidth(power, freqs) == pytest.approx(0.0)
+        assert bandwidth == pytest.approx(0.0)
 
     def test_two_equal_bins(self):
         freqs = np.arange(0, 401, 100.0)
         power = np.zeros(len(freqs))
         power[freqs == 100.0] = 1.0
         power[freqs == 300.0] = 1.0
-        assert spectral_centroid(power, freqs) == pytest.approx(200.0)
+        assert spectral_shape(power, freqs)[0] == pytest.approx(200.0)
 
     def test_silence_conventions(self):
         freqs = np.arange(0, 401, 100.0)
         power = np.zeros(len(freqs))
-        assert spectral_centroid(power, freqs) == 0.0
+        centroid, bandwidth, _, _ = spectral_shape(power, freqs)
+        assert centroid == 0.0
         assert spectral_rolloff(power, freqs) == 0.0
-        assert spectral_bandwidth(power, freqs) == 0.0
+        assert bandwidth == 0.0
 
 
 class TestFreqFeatures:
     def test_length(self):
-        assert freq_features(make_noise(seed=2)).shape == (45,)
+        sig = make_noise(seed=2)
+        assert freq_features(sig, spectrogram(sig)).shape == (45,)
 
     def test_stationary_flux_vanishes(self):
         # 250 Hz: bin-centered for the 512 window and hop-periodic at 256
-        values = freq_features(make_tone(250.0))
+        sig = make_tone(250.0)
+        values = freq_features(sig, spectrogram(sig))
         flux = values[entry("Spectral Flux").id - 35]
         assert flux < 1e-6
 
     def test_octave_ratios_sum_below_one(self):
-        values = freq_features(make_noise(seed=3))
+        sig = make_noise(seed=3)
+        values = freq_features(sig, spectrogram(sig))
         ratios = values[10:18]
         assert np.all(ratios >= 0)
         assert ratios.sum() <= 1.0 + 1e-9
 
     def test_full_spectrum_matches_direct_dft_of_padded_clip(self):
         sig = AudioSignal(np.random.default_rng(8).normal(size=1000), SR)
-        power, freqs = _SignalContext(sig).full_spectrum
+        power, freqs = full_spectrum(sig)
         padded = np.zeros(1024)
         padded[:1000] = sig.samples
         want = np.abs(direct_dft(padded)[:513]) ** 2
@@ -276,48 +280,70 @@ class TestFreqFeatures:
 
 class TestTimeFreqFeatures:
     def test_length(self):
-        assert timefreq_features(make_noise(seed=4)).shape == (47,)
+        sig = make_noise(seed=4)
+        assert timefreq_features(sig, spectrogram(sig)).shape == (47,)
 
     def test_zero_signal_all_zero(self):
-        values = timefreq_features(AudioSignal(np.zeros(4096), SR))
+        sig = AudioSignal(np.zeros(4096), SR)
+        values = timefreq_features(sig, spectrogram(sig))
         np.testing.assert_array_equal(values, np.zeros(47))
 
     def test_wavelet_d4_is_definitional_passthrough(self):
         sig = make_noise(seed=5)
-        values = timefreq_features(sig)
-        d4 = dwt_energies(sig).detail_energies[3]
+        values = timefreq_features(sig, spectrogram(sig))
+        d4 = dwt_energies(sig)[3]
         idx = entry("Wavelet energy (D4)").id - 80
         assert values[idx] == pytest.approx(d4, rel=1e-12)
 
     def test_stationary_centroid_trajectory_is_flat(self):
-        values = timefreq_features(make_tone(1000.0))
+        sig = make_tone(1000.0)
+        values = timefreq_features(sig, spectrogram(sig))
         mean_idx = entry("Frame Centroid Mean").id - 80
         std_idx = entry("Frame Centroid Std").id - 80
         assert values[std_idx] < 1e-3 * values[mean_idx]
 
     def test_too_short_rejected(self):
+        # a 16-sample spectrogram can be built, the 5-level wavelet split cannot
+        sig = AudioSignal(np.ones(16), SR)
         with pytest.raises(ParameterError):
-            timefreq_features(AudioSignal(np.ones(16), SR))
+            timefreq_features(sig, dsp.stft(sig, 16, 8))
+        with pytest.raises(ParameterError):
+            extract_all(sig)
 
 
 class TestExtractAll:
     def test_length_and_finiteness_on_stress_corpus(self):
         for name, sig in stress_corpus().items():
             vec = extract_all(sig)
-            assert vec.values.shape == (127,), name
-            assert np.all(np.isfinite(vec.values)), name
-            assert vec.registry_version == REGISTRY_VERSION
+            assert vec.shape == (127,), name
+            assert np.all(np.isfinite(vec)), name
 
     def test_group_concatenation_order(self):
         sig = make_noise(seed=6)
-        vec = extract_all(sig).values
+        vec = extract_all(sig)
         np.testing.assert_array_equal(vec[:35], time_features(sig))
-        np.testing.assert_array_equal(vec[35:80], freq_features(sig))
-        np.testing.assert_array_equal(vec[80:], timefreq_features(sig))
+        np.testing.assert_array_equal(vec[35:80], freq_features(sig, spectrogram(sig)))
+        np.testing.assert_array_equal(vec[80:], timefreq_features(sig, spectrogram(sig)))
+
+    def test_one_stft_and_three_ffts_per_clip(self, monkeypatch):
+        # the STFT is shared by both spectral groups; the other transforms
+        # are the whole-clip spectrum, the STFT's own and the modulation peak
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(dsp, "stft", counting("stft", dsp.stft))
+        monkeypatch.setattr(np.fft, "rfft", counting("rfft", np.fft.rfft))
+        extract_all(make_noise(seed=6))
+        assert sorted(calls) == ["rfft"] * 3 + ["stft"]
 
     def test_bit_identical_across_calls(self):
         sig = make_noise(seed=7)
-        np.testing.assert_array_equal(extract_all(sig).values, extract_all(sig).values)
+        np.testing.assert_array_equal(extract_all(sig), extract_all(sig))
 
     def test_amplitude_invariance_flags(self):
         t = np.arange(16000) / SR
@@ -325,8 +351,8 @@ class TestExtractAll:
         sig = AudioSignal(
             0.3 * rng.normal(size=16000) + np.sin(2 * np.pi * 113 * t), SR
         )
-        base = extract_all(sig).values
-        scaled = extract_all(normalize_amplitude(sig)).values
+        base = extract_all(sig)
+        scaled = extract_all(normalize_amplitude(sig))
         for entry in REGISTRY:
             if not entry.amplitude_invariant:
                 continue
@@ -335,17 +361,21 @@ class TestExtractAll:
                 continue
             assert abs(a - b) <= 1e-6 * max(abs(a), abs(b)), entry.name
 
-    def test_feature_vector_validation(self):
-        with pytest.raises(ParameterError):
-            FeatureVector(np.zeros(126))
-        with pytest.raises(ParameterError):
-            FeatureVector(np.full(127, np.nan))
+    @pytest.mark.parametrize(
+        "row, match",
+        [(np.zeros(126), "must have 127 values"), (np.full(127, np.nan), "non-finite")],
+        ids=["126-values", "nan"],
+    )
+    def test_extract_matrix_rejects_bad_rows(self, monkeypatch, row, match):
+        monkeypatch.setattr(features, "extract_all", lambda sig: row)
+        with pytest.raises(ParameterError, match=match):
+            extract_matrix([make_noise(seed=1), make_noise(seed=2)])
 
     def test_extract_matrix_row_order(self):
         signals = [make_noise(seed=s) for s in (1, 2)]
         matrix = extract_matrix(signals)
-        np.testing.assert_array_equal(matrix[0], extract_all(signals[0]).values)
-        np.testing.assert_array_equal(matrix[1], extract_all(signals[1]).values)
+        np.testing.assert_array_equal(matrix[0], extract_all(signals[0]))
+        np.testing.assert_array_equal(matrix[1], extract_all(signals[1]))
 
     def test_feature_csv_round_trips_exactly(self, tmp_path):
         from acoubench.features import save_feature_csv

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from acoubench.errors import ParameterError
 from acoubench.models import SVMClassifier
+from acoubench.models.base import validate_probabilities
 from acoubench.models.svm import kernel_matrix
 
 
@@ -102,6 +105,16 @@ class TestSVM:
         np.testing.assert_array_equal(model.decision_function(queries)[:, 0], machine.bias)
         winner = 0 if machine.bias >= 0 else 1
         np.testing.assert_array_equal(model.predict(queries), [winner, winner])
+
+    def test_single_class_fit_gives_valid_probabilities(self):
+        X = np.random.default_rng(4).normal(size=(6, 3))
+        model = SVMClassifier(seed=0).fit(X, np.zeros(6, dtype=int))
+        assert model.machines_ == {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = model.predict_proba(X[:4])
+        validate_probabilities(probs, model.class_count)
+        np.testing.assert_array_equal(model.predict(X), np.zeros(6))
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):

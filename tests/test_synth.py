@@ -65,8 +65,8 @@ class TestGenerateSample:
             critical = generate_sample(FaultClass.CRITICAL_FAULT, seed, cfg)
             k_n = time_features(normal)[4]
             k_c = time_features(critical)[4]
-            d4_n = dwt_energies(normal).detail_energies[3]
-            d4_c = dwt_energies(critical).detail_energies[3]
+            d4_n = dwt_energies(normal)[3]
+            d4_c = dwt_energies(critical)[3]
             assert k_c > k_n
             assert d4_c > d4_n
 
@@ -81,8 +81,8 @@ class TestGenerateSample:
             for cls in FaultClass:
                 sig = generate_sample(cls, 5000 + s, cfg)
                 kurt[int(cls), s] = time_features(sig)[4]
-                dec = dwt_energies(sig)
-                band[int(cls), s] = dec.detail_energies[0] + dec.detail_energies[1]
+                energies = dwt_energies(sig)
+                band[int(cls), s] = energies[0] + energies[1]
         assert np.all(np.diff(kurt.mean(axis=1)) > 0)
         assert np.all(np.diff(band.mean(axis=1)) > 0)
 
