@@ -178,6 +178,12 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not 0 <= value < 1:
                 raise ParameterError(f"config block 'cv': {key!r} must lie in [0, 1), got {value!r}")
+        if self.holdout_fraction + self.validation_fraction >= 1:
+            raise ParameterError(
+                "config block 'cv': 'holdout_fraction' plus 'validation_fraction' must be "
+                f"below 1 to leave data to fold, got {self.holdout_fraction!r} + "
+                f"{self.validation_fraction!r}"
+            )
         levels = tuple(float(v) for v in self.noise_levels_db)
         if any(b >= a for a, b in zip(levels, levels[1:])):
             raise ParameterError("noise levels must be strictly decreasing")
@@ -262,12 +268,9 @@ class ReportBundle:
 
     config: ExperimentConfig
     model_names: list
-    metrics_mean: dict  # name -> {metric: float}
-    metrics_std: dict
-    fold_f1: np.ndarray  # [n_folds, n_models]
+    scores: np.ndarray  # [n_folds, n_models, METRIC_COLUMNS]
     significance: SignificanceReport
-    predictions: dict  # name -> out-of-fold predicted labels
-    prediction_rows: list  # (sample_index, fold, y_true)
+    predictions: np.ndarray  # the body of predictions.csv, one row per CV sample
     importance: np.ndarray | None  # per-feature RF importances
     noise_table: dict | None  # name -> [f1 per condition]
     noise_conditions: list | None
@@ -312,7 +315,7 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
     if not any(directory.iterdir()):
         raise ParameterError(f"{directory} is empty")
     labels_path = Path(labels_csv)
-    with open(labels_path, newline="", encoding="utf-8") as fh:
+    with open(labels_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"filename", "label"} <= set(reader.fieldnames):
             raise ParameterError(f"{labels_path}: need 'filename' and 'label' columns")
@@ -431,17 +434,11 @@ def _extract_features(cfg: ExperimentConfig, dataset: Dataset) -> Dataset:
     return dataset.with_features(extract_matrix(processed))
 
 
-def _fold_metrics(y_true, y_pred, probs, n_classes) -> dict:
+def _fold_metrics(y_true, y_pred, probs, n_classes) -> tuple:
+    """One fold's scores, in METRIC_COLUMNS order."""
     cm = confusion_from_predictions(y_true, y_pred, n_classes)
-    metrics = classification_metrics(cm)
-    return {
-        "accuracy": metrics.accuracy,
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-        "f1": metrics.f1,
-        "auc_roc": auc_roc(probs, y_true),
-        "mcc": mcc(cm),
-    }
+    m = classification_metrics(cm)
+    return m.accuracy, m.precision, m.recall, m.f1, auc_roc(probs, y_true), mcc(cm)
 
 
 def _prepare(cfg: ExperimentConfig):
@@ -513,33 +510,29 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     n_classes = dataset.n_classes
 
     with _stage("train-eval"):
-        per_fold = {name: [] for name in names}
+        # sample index, fold, true label, then one prediction per model
+        table = np.zeros((len(dataset), 3 + len(names)), dtype=int)
+        table[:, 0] = np.arange(len(dataset))
+        table[:, 1] = plan.fold_assignments
+        table[:, 2] = dataset.labels
+        scores = np.zeros((cfg.n_folds, len(names), len(METRIC_COLUMNS)))
         fit_seconds = {name: [] for name in names}
-        oof_pred = {name: np.full(len(dataset), -1) for name in names}
-        row_fold = np.full(len(dataset), -1)
         for fold, (train_idx, test_idx) in enumerate(plan.iter_folds()):
             scaler = fit_scaler(dataset.features[train_idx])
             X_train = scaler.transform(dataset.features[train_idx])
             X_test = scaler.transform(dataset.features[test_idx])
-            y_train = dataset.labels[train_idx]
             y_test = dataset.labels[test_idx]
-            row_fold[test_idx] = fold
-            for name, model in zip(names, _fit_roster(specs, X_train, y_train)):
+            fitted = _fit_roster(specs, X_train, dataset.labels[train_idx])
+            for m, (name, model) in enumerate(zip(names, fitted)):
                 fit_seconds[name].append(model.training_seconds)
                 probs = model.predict_proba(X_test)
                 pred = np.argmax(probs, axis=1)
-                per_fold[name].append(_fold_metrics(y_test, pred, probs, n_classes))
-                oof_pred[name][test_idx] = pred
+                scores[fold, m] = _fold_metrics(y_test, pred, probs, n_classes)
+                table[test_idx, 3 + m] = pred
+        table = table[plan.cv_mask]
 
     with _stage("significance"):
-        cv_idx = np.where(plan.cv_mask)[0]
-        correctness = np.vstack(
-            [oof_pred[name][cv_idx] == dataset.labels[cv_idx] for name in names]
-        )
-        fold_f1 = np.array(
-            [[per_fold[name][fold]["f1"] for name in names] for fold in range(cfg.n_folds)]
-        )
-        sig = significance_report(names, correctness, fold_f1)
+        sig = significance_from_table(names, table)
 
     scaler, X_full, final_models = _fit_final_models(cfg, dataset, plan)
 
@@ -575,18 +568,6 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
             }
 
     with _stage("report"):
-        metrics_mean = {
-            name: {
-                m: float(np.mean([f[m] for f in per_fold[name]])) for m in METRIC_COLUMNS
-            }
-            for name in names
-        }
-        metrics_std = {
-            name: {
-                m: float(np.std([f[m] for f in per_fold[name]])) for m in METRIC_COLUMNS
-            }
-            for name in names
-        }
         class_counts = np.bincount(dataset.labels, minlength=n_classes)
         manifest = {
             "config_hash": cfg.config_hash(),
@@ -613,19 +594,13 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
             manifest["skipped"] = "; ".join(
                 f"{name} ({skipped[name]})" for name in sorted(skipped)
             )
-        prediction_rows = [
-            (int(i), int(row_fold[i]), int(dataset.labels[i])) for i in cv_idx
-        ]
 
     return ReportBundle(
         config=cfg,
         model_names=names,
-        metrics_mean=metrics_mean,
-        metrics_std=metrics_std,
-        fold_f1=fold_f1,
+        scores=scores,
         significance=sig,
-        predictions={name: oof_pred[name] for name in names},
-        prediction_rows=prediction_rows,
+        predictions=table,
         importance=importance,
         noise_table=noise_table,
         noise_conditions=conditions,
@@ -759,12 +734,16 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
     figs = out / "figs"
     figs.mkdir(exist_ok=True)
     written = {}
+    # [n_models, METRIC_COLUMNS], each reduced over one contiguous row of fold
+    # scores: numpy sums such a row pairwise from 8 folds on, as it does a
+    # 1-D list of folds, where an axis-0 reduction would add the folds in order
+    by_fold = np.ascontiguousarray(np.moveaxis(bundle.scores, 0, -1))
+    means, stds = by_fold.mean(axis=-1), by_fold.std(axis=-1)
 
     header = ["Algorithm", "Accuracy", "Precision", "Recall", "F1-Score", "AUC-ROC", "MCC"]
     rows = [header]
-    for name in bundle.model_names:
-        mean, std = bundle.metrics_mean[name], bundle.metrics_std[name]
-        rows.append([name] + [_fmt_mean_std(mean[m], std[m]) for m in METRIC_COLUMNS])
+    for name, mean, std in zip(bundle.model_names, means, stds):
+        rows.append([name] + [_fmt_mean_std(m, s) for m, s in zip(mean, std)])
     write_csv(out / "metrics.csv", rows)
     written["metrics"] = out / "metrics.csv"
 
@@ -839,38 +818,20 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
         write_csv(figs / "fig4_prediction_time.csv", rows)
 
     rows = [["model", "metric", "mean", "std"]]
-    for name in bundle.model_names:
-        for metric in ("accuracy", "precision", "recall"):
-            rows.append(
-                [
-                    name,
-                    metric,
-                    _fmt(bundle.metrics_mean[name][metric]),
-                    _fmt(bundle.metrics_std[name][metric]),
-                ]
-            )
+    for name, mean, std in zip(bundle.model_names, means, stds):
+        for m, metric in enumerate(("accuracy", "precision", "recall")):
+            rows.append([name, metric, _fmt(mean[m]), _fmt(std[m])])
     write_csv(figs / "fig3_performance.csv", rows)
 
     dataset_label = bundle.config.data.get("source", "synthetic")
+    f1 = METRIC_COLUMNS.index("f1")
     rows = [["dataset", "model", "f1_mean", "f1_std"]]
-    for name in bundle.model_names:
-        rows.append(
-            [
-                dataset_label,
-                name,
-                _fmt(bundle.metrics_mean[name]["f1"]),
-                _fmt(bundle.metrics_std[name]["f1"]),
-            ]
-        )
+    for name, mean, std in zip(bundle.model_names, means, stds):
+        rows.append([dataset_label, name, _fmt(mean[f1]), _fmt(std[f1])])
     write_csv(figs / "fig5_f1_by_dataset.csv", rows)
 
-    rows = [["sample_index", "fold", "y_true"] + list(bundle.model_names)]
-    for sample_index, fold, y_true in bundle.prediction_rows:
-        rows.append(
-            [sample_index, fold, y_true]
-            + [int(bundle.predictions[name][sample_index]) for name in bundle.model_names]
-        )
-    write_csv(out / "predictions.csv", rows)
+    header = ["sample_index", "fold", "y_true"] + list(bundle.model_names)
+    write_csv(out / "predictions.csv", [header] + bundle.predictions.tolist())
     written["predictions"] = out / "predictions.csv"
 
     manifest_lines = [f"{key}={bundle.manifest[key]}" for key in sorted(bundle.manifest)]
@@ -911,24 +872,33 @@ def significance_from_predictions(predictions_csv):
             rows.append(values)
     if not rows:
         raise ParameterError(f"{predictions_csv}: no prediction rows")
-    data = np.array(rows)
-    folds = data[:, 1]
-    y_true = data[:, 2]
-    preds = data[:, 3:]
-    correctness = (preds == y_true[:, None]).T
-    n_classes = int(y_true.max()) + 1
-    above = np.flatnonzero((preds >= n_classes).any(axis=1))
+    table = np.array(rows)
+    y_true, preds = table[:, 2], table[:, 3:]
+    above = np.flatnonzero((preds > y_true.max()).any(axis=1))
     if len(above):
         row = above[0]  # every row is one line, after the header
         raise ParameterError(
             f"{predictions_csv}, line {row + 2}: predicted class {int(preds[row].max())} "
-            f"is above the largest true label, {n_classes - 1}"
+            f"is above the largest true label, {int(y_true.max())}"
         )
-    fold_ids = sorted(set(folds.tolist()))
-    fold_f1 = np.zeros((len(fold_ids), len(names)))
-    for fi, fold in enumerate(fold_ids):
-        mask = folds == fold
-        for mi in range(len(names)):
-            cm = confusion_from_predictions(y_true[mask], preds[mask, mi], n_classes)
-            fold_f1[fi, mi] = classification_metrics(cm).f1
-    return significance_report(names, correctness, fold_f1)
+    return significance_from_table(names, table)
+
+
+def significance_from_table(names, table) -> SignificanceReport:
+    """McNemar and Friedman over an out-of-fold predictions table.
+
+    ``table`` has the layout of predictions.csv: one row per cross-validated
+    sample holding its index, fold, true label and one predicted label per
+    model. McNemar compares the models' per-sample correctness; Friedman
+    ranks their per-fold macro-F1, over classes 0..max(true label).
+    """
+    folds, y_true, preds = table[:, 1], table[:, 2], table[:, 3:]
+    n_classes = int(y_true.max()) + 1
+    fold_f1 = [
+        [
+            classification_metrics(confusion_from_predictions(y_true[rows], p, n_classes)).f1
+            for p in preds[rows].T
+        ]
+        for rows in (folds == fold for fold in np.unique(folds))
+    ]
+    return significance_report(names, (preds == y_true[:, None]).T, fold_f1)

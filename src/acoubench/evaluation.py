@@ -11,6 +11,7 @@ survival function both rely on.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -241,56 +242,28 @@ def stratified_kfold(
 # chi-square survival function
 # ---------------------------------------------------------------------------
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series (x < a+1)."""
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(500):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _upper_gamma_contfrac(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by Lentz continued fraction."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
 def chi_square_sf(x: float, dof: int) -> float:
-    """Upper-tail probability of the chi-square distribution."""
+    """Upper-tail probability of the chi-square distribution, for integer ``dof``.
+
+    The closed form of Q(dof/2, x/2), with Q the regularized upper
+    incomplete gamma: from Q(1/2, h) = erfc(sqrt(h)) for odd dof, or
+    Q(0, h) = 0 for even dof, each step Q(s + 1, h) = Q(s, h) +
+    h**s e**-h / Gamma(s + 1) adds one term, computed in log space so that
+    no term underflows before it is summed.
+    """
     if x < 0:
         raise ParameterError("chi-square statistic must be non-negative")
-    if dof < 1:
-        raise ParameterError("degrees of freedom must be >= 1")
+    if not isinstance(dof, numbers.Integral) or dof < 1:
+        raise ParameterError(f"degrees of freedom must be an integer >= 1, got {dof!r}")
     if x == 0:
         return 1.0
-    a = dof / 2.0
-    half = x / 2.0
-    if half < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, half)
-    return _upper_gamma_contfrac(a, half)
+    h = x / 2.0
+    odd = dof % 2
+    total = math.erfc(math.sqrt(h)) if odd else 0.0
+    for j in range(dof // 2):
+        s = j + odd / 2.0
+        total += math.exp(s * math.log(h) - h - math.lgamma(s + 1.0))
+    return total
 
 
 # ---------------------------------------------------------------------------

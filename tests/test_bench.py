@@ -12,14 +12,17 @@ import pytest
 from acoubench import features
 from acoubench.audio import AudioSignal
 from acoubench.bench import (
+    METRIC_COLUMNS,
     ExperimentConfig,
     _fit_final_models,
     _fit_roster,
     _prepare,
+    friedman_rows,
     load_corpus,
     run_experiment,
     run_noise_sweep,
     significance_from_predictions,
+    significance_rows,
     write_bundle,
 )
 from acoubench.cli import main as cli_main
@@ -136,6 +139,9 @@ class TestConfig:
              r"block 'cv': 'validation_fraction' must lie in \[0, 1\), got -0.1"),
             ({"cv": {"holdout_fraction": 1.0}},
              r"block 'cv': 'holdout_fraction' must lie in \[0, 1\), got 1.0"),
+            ({"cv": {"holdout_fraction": 0.6, "validation_fraction": 0.5}},
+             r"block 'cv': 'holdout_fraction' plus 'validation_fraction' must be below 1 .*"
+             r"got 0.6 \+ 0.5"),
             ({"timing": {"enabled": "no"}}, r"block 'timing': 'enabled' must be true or false"),
             ({"timing": {"enabled": 0}}, r"block 'timing': 'enabled' must be true or false"),
             ({"timing": {"repetitions": 3.0}}, r"block 'timing': 'repetitions' must be an integer"),
@@ -161,6 +167,7 @@ class TestConfig:
              "model-value", "member-value", "ensemble-no-members",
              "n-folds-string", "n-folds-float", "n-folds-bool", "n-folds-one",
              "holdout-string", "validation-null", "validation-negative", "holdout-one",
+             "fractions-leave-nothing-to-fold",
              "enabled-string", "enabled-int",
              "repetitions-float", "repetitions-string-untimed", "nemenyi-string",
              "levels-string", "levels-number", "levels-nan", "levels-minus-inf", "levels-bool",
@@ -202,10 +209,14 @@ class TestRunExperiment:
     def test_bundle_shape(self, tiny_bundle):
         cfg, bundle = tiny_bundle
         assert bundle.model_names == ["knn", "rf"]
-        for name in bundle.model_names:
-            for metric in ("accuracy", "precision", "recall", "f1", "auc_roc", "mcc"):
-                assert metric in bundle.metrics_mean[name]
-        assert bundle.fold_f1.shape == (3, 2)
+        assert METRIC_COLUMNS == ("accuracy", "precision", "recall", "f1", "auc_roc", "mcc")
+        assert bundle.scores.shape == (3, 2, len(METRIC_COLUMNS))
+        f1 = bundle.scores[:, :, METRIC_COLUMNS.index("f1")].mean(axis=0)
+        assert np.all((0 <= f1) & (f1 <= 1))
+        # one row per cross-validated sample: index, fold, truth, one prediction per model
+        m = bundle.manifest
+        n_cv = m["n_samples"] - m["holdout_samples"] - m["validation_samples"]
+        assert bundle.predictions.shape == (n_cv, 3 + 2)
         assert bundle.noise_table is not None
         assert bundle.noise_conditions[0] == math.inf
         assert bundle.importance is not None
@@ -248,8 +259,8 @@ class TestRunExperiment:
         written = write_bundle(bundle, tmp_path)
         report = significance_from_predictions(written["predictions"])
         assert list(report.model_names) == bundle.model_names
-        np.testing.assert_allclose(report.mcnemar_p, bundle.significance.mcnemar_p)
-        assert report.friedman_chi2 == pytest.approx(bundle.significance.friedman_chi2)
+        assert significance_rows(report) == significance_rows(bundle.significance)
+        assert friedman_rows(report) == friedman_rows(bundle.significance)
 
 
     @pytest.mark.parametrize(
@@ -465,6 +476,12 @@ class TestLoadCorpus:
         data[-2] ^= 1  # low byte of the last sample
         clip.write_bytes(bytes(data))
         assert load_corpus(moved, labels).provenance["corpus_sha256"] != digest
+
+    def test_labels_csv_with_byte_order_mark(self, corpus):
+        wav_dir, labels = corpus
+        labels.write_bytes(b"\xef\xbb\xbf" + labels.read_bytes())  # as Excel's "CSV UTF-8"
+        ds = load_corpus(wav_dir, labels)
+        np.testing.assert_array_equal(ds.labels, [0, 1, 2])
 
     def test_empty_directory_rejected(self, tmp_path):
         empty = tmp_path / "empty"

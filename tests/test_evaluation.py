@@ -308,6 +308,8 @@ class TestChiSquareSF:
             chi_square_sf(-1.0, 1)
         with pytest.raises(ParameterError):
             chi_square_sf(1.0, 0)
+        with pytest.raises(ParameterError, match="integer"):
+            chi_square_sf(1.0, 1.5)
 
 
 class TestMcNemar:
