@@ -50,14 +50,16 @@ class AudioSignal:
 
 
 def frame_signal(x: AudioSignal, window_size: int, hop: int) -> np.ndarray:
-    """Slice a signal into contiguous frames, [frames, window_size]; no padding is applied."""
+    """Frames starting every ``hop`` samples, [frames, window_size]; no padding is applied.
+
+    A read-only strided view of the samples: frames that overlap share memory.
+    """
     n = len(x.samples)
     if not (0 < hop <= window_size):
         raise ParameterError(f"need 0 < hop <= window_size, got hop={hop}, window={window_size}")
     if window_size > n:
         raise ParameterError(f"window of {window_size} samples longer than signal of {n}")
-    starts = np.arange((n - window_size) // hop + 1) * hop
-    return x.samples[starts[:, None] + np.arange(window_size)[None, :]]
+    return np.lib.stride_tricks.sliding_window_view(x.samples, window_size)[::hop]
 
 
 @functools.lru_cache(maxsize=32)

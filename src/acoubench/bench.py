@@ -94,10 +94,20 @@ _FIELD_TYPES = {
     "timing_repetitions": (_is_int, "an integer"),
     "nemenyi_q_alpha": (lambda v: v is None or _is_real(v), "a number or null"),
 }
-# keys the data block accepts, per source
-_DATA_KEYS = {
-    "synthetic": {"source", "samples_per_class", "duration_s", "sample_rate_hz", "generator"},
-    "wav": {"source", "directory", "labels_csv", "permissive"},
+# what each data key accepts besides "source", per source: (test, description);
+# GeneratorConfig checks the sizes' ranges and the generator keys
+_DATA_FIELDS = {
+    "synthetic": {
+        "samples_per_class": (_is_int, "an integer"),
+        "duration_s": (_is_real, "a number"),
+        "sample_rate_hz": (_is_real, "a number"),
+        "generator": (lambda v: isinstance(v, dict), "an object"),
+    },
+    "wav": {
+        "directory": (lambda v: isinstance(v, str), "a string"),
+        "labels_csv": (lambda v: isinstance(v, str), "a string"),
+        "permissive": (lambda v: isinstance(v, bool), "true or false"),
+    },
 }
 
 
@@ -158,12 +168,23 @@ class ExperimentConfig:
         if not isinstance(self.data, dict):
             raise ParameterError("config block 'data' must be an object")
         source = self.data.get("source", "synthetic")
-        if source not in _DATA_KEYS:
+        if not isinstance(source, str) or source not in _DATA_FIELDS:
             raise ParameterError(f"unknown data source {source!r}")
-        unknown = set(self.data) - _DATA_KEYS[source]
+        data_fields = _DATA_FIELDS[source]
+        unknown = set(self.data) - {"source", *data_fields}
         if unknown:
             raise ParameterError(f"unknown keys in config block 'data': {sorted(unknown)}")
-        if self.preprocess not in _PREPROCESS:
+        for key in ("directory", "labels_csv") if source == "wav" else ():
+            if key not in self.data:
+                raise ParameterError(f"config block 'data': source 'wav' needs {key!r}")
+        for key, (accepts, expected) in data_fields.items():
+            if key in self.data and not accepts(self.data[key]):
+                raise ParameterError(
+                    f"config block 'data': {key!r} must be {expected}, got {self.data[key]!r}"
+                )
+        if source == "synthetic":
+            self.generator_config()
+        if not isinstance(self.preprocess, str) or self.preprocess not in _PREPROCESS:
             raise ParameterError(f"unknown preprocess mode {self.preprocess!r}")
         for block, keys in _CONFIG_BLOCKS.items():
             for key, name in keys.items():
@@ -178,6 +199,12 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not 0 <= value < 1:
                 raise ParameterError(f"config block 'cv': {key!r} must lie in [0, 1), got {value!r}")
+        q_alpha = self.nemenyi_q_alpha
+        if q_alpha is not None and not 0 < q_alpha < math.inf:  # NaN fails both comparisons
+            raise ParameterError(
+                "config block 'stats': 'nemenyi_q_alpha' must be positive and finite, "
+                f"got {q_alpha!r}"
+            )
         if self.holdout_fraction + self.validation_fraction >= 1:
             raise ParameterError(
                 "config block 'cv': 'holdout_fraction' plus 'validation_fraction' must be "
@@ -195,6 +222,14 @@ class ExperimentConfig:
             )
         self.noise_levels_db = levels
         self.models = tuple(_roster_entry(i, m) for i, m in enumerate(self.models))
+
+    def generator_config(self) -> GeneratorConfig:
+        """The synthetic source's generator, built from the data block and the seed."""
+        sizes = {key: v for key, v in self.data.items() if key not in ("source", "generator")}
+        try:
+            return GeneratorConfig(base_seed=self.seed, **sizes, **self.data.get("generator", {}))
+        except (ParameterError, TypeError) as exc:  # TypeError: an unknown or repeated key
+            raise ParameterError(f"config block 'data': {exc}") from None
 
     @classmethod
     def from_dict(cls, raw: dict, seed: int | None = None, output_dir: str | None = None):
@@ -412,15 +447,8 @@ def _stage(name):
 
 
 def _build_dataset(cfg: ExperimentConfig) -> Dataset:
-    source = cfg.data.get("source", "synthetic")
-    if source == "synthetic":
-        sizes = {
-            key: cfg.data[key]
-            for key in ("samples_per_class", "duration_s", "sample_rate_hz")
-            if key in cfg.data
-        }
-        gen = GeneratorConfig(base_seed=cfg.seed, **sizes, **cfg.data.get("generator", {}))
-        return generate_dataset(gen)
+    if cfg.data.get("source", "synthetic") == "synthetic":
+        return generate_dataset(cfg.generator_config())
     return load_corpus(
         cfg.data["directory"],
         cfg.data["labels_csv"],
@@ -428,10 +456,9 @@ def _build_dataset(cfg: ExperimentConfig) -> Dataset:
     )
 
 
-def _extract_features(cfg: ExperimentConfig, dataset: Dataset) -> Dataset:
-    prep = _PREPROCESS[cfg.preprocess]
-    processed = [prep(s) for s in dataset.signals]
-    return dataset.with_features(extract_matrix(processed))
+def _featurize(cfg: ExperimentConfig, signals) -> np.ndarray:
+    """Feature matrix of ``signals`` after the config's ``preprocess`` normalization."""
+    return extract_matrix([_PREPROCESS[cfg.preprocess](s) for s in signals])
 
 
 def _fold_metrics(y_true, y_pred, probs, n_classes) -> tuple:
@@ -446,7 +473,7 @@ def _prepare(cfg: ExperimentConfig):
     with _stage("data"):
         dataset = _build_dataset(cfg)
     with _stage("features"):
-        dataset = _extract_features(cfg, dataset)
+        dataset = dataset.with_features(_featurize(cfg, dataset.signals))
     with _stage("cv"):
         plan = stratified_kfold(
             dataset.labels,
@@ -455,6 +482,12 @@ def _prepare(cfg: ExperimentConfig):
             holdout_fraction=cfg.holdout_fraction,
             validation_fraction=cfg.validation_fraction,
         )
+        if cfg.noise_levels_db and not plan.holdout_mask.any():
+            largest = int(np.bincount(dataset.labels).max())
+            raise ParameterError(
+                f"'holdout_fraction' {cfg.holdout_fraction!r} of at most {largest} clips per "
+                "class rounds to a hold-out of 0 clips; the noise sweep needs at least one"
+            )
     return dataset, plan
 
 
@@ -612,9 +645,6 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
 def _noise_sweep(cfg, dataset, plan, scaler, final_models):
     """Evaluate clean-trained models on noise-injected hold-out signals."""
     hold_idx = np.where(plan.holdout_mask)[0]
-    if len(hold_idx) == 0:
-        raise ParameterError("noise sweep needs a hold-out split (holdout_fraction > 0)")
-    prep = _PREPROCESS[cfg.preprocess]
     y_hold = dataset.labels[hold_idx]
     n_classes = dataset.n_classes
     conditions = [math.inf] + list(cfg.noise_levels_db)
@@ -631,7 +661,7 @@ def _noise_sweep(cfg, dataset, plan, scaler, final_models):
                 )
                 for i in hold_idx
             ]
-            feats = scaler.transform(extract_matrix([prep(s) for s in noisy]))
+            feats = scaler.transform(_featurize(cfg, noisy))
         for name, model in final_models.items():
             pred = model.predict(feats)
             f1 = classification_metrics(
@@ -651,6 +681,8 @@ def run_noise_sweep(cfg: ExperimentConfig, levels_db=None):
         cfg = ExperimentConfig(
             **{**cfg.__dict__, "noise_levels_db": tuple(levels_db)}
         )
+    if not cfg.noise_levels_db:  # _prepare checks the hold-out only when there are levels
+        raise ParameterError("a noise sweep needs at least one noise level")
     dataset, plan = _prepare(cfg)
     scaler, _, final_models = _fit_final_models(cfg, dataset, plan)
     with _stage("noise"):

@@ -1,16 +1,16 @@
 """Spectral transforms and mid-level signal representations.
 
-Everything here is a pure function of its inputs: Hann-windowed STFT
-power spectrograms (``numpy.fft``), and, as plain arrays, mel-frequency
-cepstra of a spectrogram, Daubechies wavelet subband energies and a
-spectrogram's chroma profile. Filterbank and DCT tables are cached
-read-only, so the kernels are safe to call from multiple threads.
+Everything here is a pure function of its inputs that returns plain
+arrays: Hann-windowed STFT power spectrograms with their bin frequencies
+(``numpy.fft``), mel-frequency cepstra of a spectrogram, Daubechies
+wavelet subband energies and a spectrogram's chroma profile. Filterbank
+and DCT tables are cached read-only, so the kernels are safe to call
+from multiple threads.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import ParameterError
 LOG_ENERGY_FLOOR = 1e-10
 
 __all__ = [
-    "Spectrogram",
     "next_pow2",
     "stft",
     "mel_filterbank",
@@ -43,34 +42,17 @@ def next_pow2(n: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class Spectrogram:
-    """One-sided power spectrogram, rows = frames."""
+def stft(x: AudioSignal, window_size: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hann-windowed short-time power spectrogram and its bin frequencies.
 
-    power: np.ndarray
-    bin_hz: float
-
-    def __post_init__(self):
-        if self.power.ndim != 2:
-            raise ParameterError("spectrogram power must be a 2-D matrix")
-        if np.any(self.power < 0):
-            raise ParameterError("spectrogram power must be non-negative")
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.arange(self.power.shape[1]) * self.bin_hz
-
-
-def stft(x: AudioSignal, window_size: int, hop: int) -> Spectrogram:
-    """Hann-windowed short-time power spectrogram.
-
-    Frames are zero-padded to the next power of two before the FFT, so
-    any window size is accepted.
+    Returns ``(power, freqs)``: one-sided power, rows = frames, and the
+    frequency of each column in Hz. Frames are zero-padded to the next
+    power of two before the FFT, so any window size is accepted.
     """
     frames = frame_signal(x, window_size, hop)
     nfft = next_pow2(window_size)
     power = np.abs(np.fft.rfft(frames * hann_window(window_size), n=nfft)) ** 2
-    return Spectrogram(power=power, bin_hz=x.sample_rate_hz / nfft)
+    return power, np.arange(nfft // 2 + 1) * (x.sample_rate_hz / nfft)
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +100,21 @@ def _dct_ii_matrix(n_out: int, n_in: int) -> np.ndarray:
 
 
 def mfcc_from_spectrogram(
-    spec: Spectrogram, sample_rate_hz: float, n_coeffs: int = 13, n_filters: int = 26
+    power: np.ndarray, sample_rate_hz: float, n_coeffs: int = 13, n_filters: int = 26
 ) -> np.ndarray:
     """Per-frame mel-frequency cepstral coefficients, shape [frames, n_coeffs].
 
-    Takes the one-sided power spectrogram from :func:`stft`; per frame:
-    triangular mel filterbank (0 Hz to Nyquist) -> log with a floor of
-    1e-10 -> orthonormal DCT-II -> first ``n_coeffs`` coefficients.
+    Takes the one-sided power of :func:`stft`, whose FFT size is even and
+    so follows from the bin count; per frame: triangular mel filterbank
+    (0 Hz to Nyquist) -> log with a floor of 1e-10 -> orthonormal DCT-II
+    -> first ``n_coeffs`` coefficients.
     """
     if n_coeffs < 1 or n_coeffs > n_filters:
         raise ParameterError("n_coeffs must be in 1..n_filters")
-    nfft = round(sample_rate_hz / spec.bin_hz)
-    bank = mel_filterbank(n_filters, nfft, sample_rate_hz)
-    energies = spec.power @ bank.T
+    if power.shape[-1] < 2:
+        raise ParameterError("a spectrogram needs at least 2 frequency bins")
+    bank = mel_filterbank(n_filters, 2 * (power.shape[-1] - 1), sample_rate_hz)
+    energies = power @ bank.T
     log_energies = np.log(np.maximum(energies, LOG_ENERGY_FLOOR))
     return log_energies @ _dct_ii_matrix(n_coeffs, n_filters).T
 
@@ -210,20 +194,20 @@ def dwt_energies(x: AudioSignal, levels: int = 5) -> np.ndarray:
 # Chroma
 # ---------------------------------------------------------------------------
 
-def chroma_vector(spec: Spectrogram) -> np.ndarray:
+def chroma_vector(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """12-bin pitch-class power profile averaged over frames (A = class 9).
 
-    Bin powers fold onto the chromatic scale with A4 = 440 Hz as the
-    reference; the DC bin carries no pitch and is skipped.
+    Takes the ``(power, freqs)`` pair of :func:`stft`. Bin powers fold onto
+    the chromatic scale with A4 = 440 Hz as the reference; the DC bin
+    carries no pitch and is skipped.
     """
-    if spec.power.shape[0] == 0:
+    if power.shape[0] == 0:
         raise ParameterError("empty spectrogram")
-    freqs = spec.frequencies
     bins = np.flatnonzero(freqs > 0)
     midi = 69.0 + 12.0 * np.log2(freqs[bins] / 440.0)
     classes = np.round(midi).astype(int) % 12
-    folded = np.zeros((spec.power.shape[0], 12))
+    folded = np.zeros((power.shape[0], 12))
     for pc in range(12):
-        folded[:, pc] = spec.power[:, bins[classes == pc]].sum(axis=1)
+        folded[:, pc] = power[:, bins[classes == pc]].sum(axis=1)
     return folded.mean(axis=0)
 

@@ -37,7 +37,8 @@ def spectral_shape(power, freqs):
     """Centroid, bandwidth, skewness and kurtosis of the power-weighted frequencies.
 
     Along the last axis; each is 0 where the power is all zero, and the
-    skewness and kurtosis also where the bandwidth is 0.
+    skewness and kurtosis also where the bandwidth is 0. The time group
+    passes amplitudes and sample times for the temporal shape.
     """
     total = power.sum(axis=-1)
     centroid = _safe_div((power * freqs).sum(axis=-1), total)
@@ -128,8 +129,8 @@ def _hop(sample_rate_hz: float) -> int:
     return dsp.default_window_size(sample_rate_hz) // 2
 
 
-def spectrogram(x: AudioSignal) -> dsp.Spectrogram:
-    """The STFT that the frequency and time-frequency groups share."""
+def spectrogram(x: AudioSignal) -> tuple[np.ndarray, np.ndarray]:
+    """The STFT ``(power, freqs)`` that the frequency and time-frequency groups share."""
     return dsp.stft(x, dsp.default_window_size(x.sample_rate_hz), _hop(x.sample_rate_hz))
 
 
@@ -191,24 +192,7 @@ def time_features(x: AudioSignal) -> np.ndarray:
     mcr = float(np.count_nonzero(csigns[1:] != csigns[:-1])) / (n - 1) if n > 1 else 0.0
 
     # amplitude-weighted time distribution
-    times = np.arange(n) / sr
-    wsum = abs_s.sum()
-    if wsum > 0:
-        t_centroid = float((times * abs_s).sum() / wsum)
-        dt = times - t_centroid
-        weighted = abs_s * (dt * dt)
-        t_var = float(weighted.sum() / wsum)
-        t_spread = float(np.sqrt(t_var))
-        if t_spread > 0:
-            # products, not ** 3 / ** 4: see _standardized_moments
-            weighted *= dt
-            t_skew = float(weighted.sum() / wsum / t_spread ** 3)
-            weighted *= dt
-            t_kurt = float(weighted.sum() / wsum / t_var ** 2)
-        else:
-            t_skew = t_kurt = 0.0
-    else:
-        t_centroid = t_spread = t_skew = t_kurt = 0.0
+    t_centroid, t_spread, t_skew, t_kurt = spectral_shape(abs_s, np.arange(n) / sr)
 
     diff = np.diff(s) if n > 1 else np.zeros(1)
     diff_rms = float(np.sqrt(np.mean(diff ** 2)))
@@ -243,7 +227,7 @@ def time_features(x: AudioSignal) -> np.ndarray:
             crest,
             shape,
             zcr,
-            t_centroid,
+            float(t_centroid),
             s_min,
             s_max,
             s_max - s_min,
@@ -255,9 +239,9 @@ def time_features(x: AudioSignal) -> np.ndarray:
             float(np.log10(energy + 1e-12)),
             float(q75 - q25),
             float(np.median(np.abs(s - median))),
-            t_spread,
-            t_skew,
-            t_kurt,
+            float(t_spread),
+            float(t_skew),
+            float(t_kurt),
             mobility,
             complexity,
             lag1,
@@ -265,9 +249,7 @@ def time_features(x: AudioSignal) -> np.ndarray:
             m6,
             mcr,
             diff_rms,
-            float(envelope.mean()),
-            float(envelope.std()),
-            float(envelope.max()),
+            *_traj_stats(envelope),
         ]
     )
 
@@ -276,8 +258,9 @@ def time_features(x: AudioSignal) -> np.ndarray:
 # frequency-domain group (45)
 # ---------------------------------------------------------------------------
 
-def freq_features(x: AudioSignal, sgram: dsp.Spectrogram) -> np.ndarray:
+def freq_features(x: AudioSignal, sgram: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The 45 frequency-domain values; ``sgram`` is :func:`spectrogram` of ``x``."""
+    stft_power, stft_freqs = sgram
     power, freqs = full_spectrum(x)
     total = power.sum()
 
@@ -285,14 +268,14 @@ def freq_features(x: AudioSignal, sgram: dsp.Spectrogram) -> np.ndarray:
     cuts = _octave_cuts(freqs)
     band_ratios = _safe_div(octave_band_energies(power, cuts), total)
 
-    flux_track = spectral_flux(sgram.power)
+    flux_track = spectral_flux(stft_power)
     mean_flux = float(flux_track.mean()) if len(flux_track) else 0.0
 
-    mf = dsp.mfcc_from_spectrogram(sgram, x.sample_rate_hz, n_coeffs=13)
+    mf = dsp.mfcc_from_spectrogram(stft_power, x.sample_rate_hz, n_coeffs=13)
     mfcc_means = mf.mean(axis=0)
     mfcc_stds = mf.std(axis=0)
 
-    chroma = float(dsp.chroma_vector(sgram).mean())
+    chroma = float(dsp.chroma_vector(stft_power, stft_freqs).mean())
 
     head = np.array(
         [
@@ -321,10 +304,9 @@ def _traj_stats(values: np.ndarray) -> list[float]:
     return [float(values.mean()), float(values.std()), float(values.max())]
 
 
-def timefreq_features(x: AudioSignal, sgram: dsp.Spectrogram) -> np.ndarray:
+def timefreq_features(x: AudioSignal, sgram: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The 47 time-frequency values; ``sgram`` is :func:`spectrogram` of ``x``."""
-    power = sgram.power
-    freqs = sgram.frequencies
+    power, freqs = sgram
 
     centroid, bandwidth, _, _ = spectral_shape(power, freqs)
     values: list[float] = []
@@ -345,10 +327,9 @@ def timefreq_features(x: AudioSignal, sgram: dsp.Spectrogram) -> np.ndarray:
     values += [float(contrast_track.mean()), float(contrast_track.std())]
 
     frame_power = power.sum(axis=1)
-    values += [float(frame_power.mean()), float(frame_power.std()), float(frame_power.max())]
-    values += _standardized_moments(
-        frame_power, float(frame_power.mean()), float(frame_power.std()), (3,)
-    )
+    fp_mean, fp_std, fp_max = _traj_stats(frame_power)
+    values += [fp_mean, fp_std, fp_max]
+    values += _standardized_moments(frame_power, fp_mean, fp_std, (3,))
 
     frame_rate_hz = x.sample_rate_hz / _hop(x.sample_rate_hz)
     mod_freq, mod_strength = _modulation_peak(frame_power, frame_rate_hz)
@@ -373,8 +354,7 @@ def timefreq_features(x: AudioSignal, sgram: dsp.Spectrogram) -> np.ndarray:
     mean_cell = power.mean()
     values.append(float(power.max() / mean_cell) if mean_cell > 0 else 0.0)
     values.append(float(spectral_flatness(power.ravel())))
-    fp_mean = frame_power.mean()
-    values.append(float(frame_power.std() / fp_mean) if fp_mean > 0 else 0.0)
+    values.append(fp_std / fp_mean if fp_mean > 0 else 0.0)
 
     return np.array(values)
 

@@ -56,8 +56,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.samples_per_class < 1:
             raise ParameterError("samples_per_class must be >= 1")
-        if self.duration_s <= 0 or self.sample_rate_hz <= 0:
-            raise ParameterError("duration and sample rate must be positive")
+        if not (0 < self.duration_s < math.inf and 0 < self.sample_rate_hz < math.inf):
+            raise ParameterError("duration and sample rate must be positive and finite")
         if len(self.impulse_amplitudes) != N_CLASSES or len(self.impulse_rates_hz) != N_CLASSES:
             raise ParameterError("per-severity parameters need one value per class")
         amps = self.impulse_amplitudes

@@ -57,6 +57,7 @@ class TestFraming:
     def test_frames_are_contiguous_slices(self):
         sig = make_noise(seed=5)
         frames = frame_signal(sig, 512, 256)
+        assert not frames.flags.writeable  # a view of the signal's locked samples
         for m in range(len(frames)):
             np.testing.assert_array_equal(
                 frames[m], sig.samples[m * 256 : m * 256 + 512]

@@ -158,6 +158,26 @@ class TestConfig:
              r"block 'noise': 'levels_db' must be a list of numbers"),
             ({"noise": {"levels_db": [True]}}, r"block 'noise': 'levels_db' must be a list of numbers"),
             ({"noise": {"levels_db": None}}, r"block 'noise': 'levels_db' must be a list of numbers"),
+            ({"preprocess": ["rms"]}, r"unknown preprocess mode \['rms'\]"),
+            ({"data": {"source": ["wav"]}}, r"unknown data source \['wav'\]"),
+            ({"data": {"source": "wav"}}, r"block 'data': source 'wav' needs 'directory'"),
+            ({"data": {"source": "wav", "directory": "d", "labels_csv": 3}},
+             r"block 'data': 'labels_csv' must be a string, got 3"),
+            ({"data": {"source": "wav", "directory": "d", "labels_csv": "l.csv", "permissive": 1}},
+             r"block 'data': 'permissive' must be true or false, got 1"),
+            ({"data": {"samples_per_class": "3"}},
+             r"block 'data': 'samples_per_class' must be an integer, got '3'"),
+            ({"data": {"duration_s": "1"}}, r"block 'data': 'duration_s' must be a number, got '1'"),
+            ({"data": {"duration_s": math.nan}},
+             r"block 'data': duration and sample rate must be positive and finite"),
+            ({"data": {"samples_per_class": 0}}, r"block 'data': samples_per_class must be >= 1"),
+            ({"data": {"generator": [1]}}, r"block 'data': 'generator' must be an object, got \[1\]"),
+            ({"data": {"generator": {"noise_floor": -20}}},
+             r"block 'data': .*unexpected keyword argument 'noise_floor'"),
+            ({"stats": {"nemenyi_q_alpha": -1}},
+             r"block 'stats': 'nemenyi_q_alpha' must be positive and finite, got -1"),
+            ({"stats": {"nemenyi_q_alpha": 0.0}}, r"'nemenyi_q_alpha' must be positive and finite"),
+            ({"stats": {"nemenyi_q_alpha": math.nan}}, r"'nemenyi_q_alpha' must be positive and finite"),
         ],
         ids=["cv", "noise", "timing", "stats", "not-an-object", "config-not-an-object",
              "two-repetitions",
@@ -171,7 +191,11 @@ class TestConfig:
              "enabled-string", "enabled-int",
              "repetitions-float", "repetitions-string-untimed", "nemenyi-string",
              "levels-string", "levels-number", "levels-nan", "levels-minus-inf", "levels-bool",
-             "levels-null"],
+             "levels-null", "preprocess-list", "source-list", "wav-without-directory",
+             "labels-csv-number", "permissive-int", "samples-per-class-string",
+             "duration-string", "duration-nan", "samples-per-class-zero",
+             "generator-not-an-object", "generator-key",
+             "nemenyi-negative", "nemenyi-zero", "nemenyi-nan"],
     )
     def test_bad_config_block_rejected(self, raw, match):
         with pytest.raises(ParameterError, match=match):
@@ -287,6 +311,46 @@ class TestRunExperiment:
         assert re.search(match, err)
 
 
+class TestBadConfigCli:
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"preprocess": ["rms"]}, "error [cli] unknown preprocess mode ['rms']"),
+            ({"data": {"source": "wav"}},
+             "error [cli] config block 'data': source 'wav' needs 'directory'"),
+            ({"data": {**TINY["data"], "samples_per_class": "3"}},
+             "error [cli] config block 'data': 'samples_per_class' must be an integer"),
+            ({"data": {**TINY["data"], "generator": {"noise_floor": -20}}},
+             "error [cli] config block 'data': "),
+            ({"stats": {"nemenyi_q_alpha": -1}},
+             "error [cli] config block 'stats': 'nemenyi_q_alpha' must be positive"),
+            ({"cv": {"n_folds": 3, "holdout_fraction": 0.04}},
+             "error [cv] 'holdout_fraction' 0.04 of at most 12 clips per class rounds to a "
+             "hold-out of 0 clips"),
+        ],
+        ids=["preprocess", "data-wav", "data-size", "data-generator", "stats-q-alpha",
+             "cv-empty-holdout"],
+    )
+    def test_bench_fails_before_writing(self, tmp_path, capsys, override, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**TINY, **override}))
+        out = tmp_path / "out"
+        rc = cli_main(["bench", "--config", str(config_path), "--out", str(out), "--seed", "3"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    def test_empty_holdout_stops_before_any_fit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(Classifier, "fit", lambda model, X, y: calls.append(model.kind))
+        cfg = ExperimentConfig.from_dict(
+            {**TINY, "cv": {"n_folds": 3, "holdout_fraction": 0.04}}, seed=3
+        )
+        with pytest.raises(PipelineStageError, match=r"\[cv\] 'holdout_fraction' 0.04"):
+            run_experiment(cfg)
+        assert calls == []
+
+
 class TestNoiseSweep:
     def test_infinite_level_reproduces_clean_f1(self):
         cfg = ExperimentConfig.from_dict(
@@ -296,6 +360,11 @@ class TestNoiseSweep:
         for name in names:
             assert table[name][0] == pytest.approx(table[name][1])
             assert indices[name] == pytest.approx(np.mean(table[name]))
+
+    def test_sweep_without_levels_rejected(self):
+        cfg = ExperimentConfig.from_dict({**TINY, "noise": {"levels_db": []}}, seed=13)
+        with pytest.raises(ParameterError, match="at least one noise level"):
+            run_noise_sweep(cfg)
 
     def test_noise_sweep_emits_requested_levels(self):
         cfg = ExperimentConfig.from_dict(TINY, seed=13)

@@ -5,7 +5,6 @@ from acoubench.audio import AudioSignal, frame_signal, hann_window
 from acoubench.dsp import (
     _DB4_HI,
     _DB4_LO,
-    Spectrogram,
     _dwt_step,
     chroma_vector,
     default_window_size,
@@ -23,50 +22,51 @@ from conftest import SR, direct_dft, make_noise, make_tone
 class TestSTFT:
     def test_stationary_rows_identical(self):
         # 1000 Hz at 16 kHz: bin-centered for a 512 window, whole cycles per 256 hop
-        sgram = stft(make_tone(1000.0), 512, 256)
-        spread = np.max(np.std(sgram.power, axis=0))
-        assert spread < 1e-6 * np.max(sgram.power)
+        power, _ = stft(make_tone(1000.0), 512, 256)
+        spread = np.max(np.std(power, axis=0))
+        assert spread < 1e-6 * np.max(power)
 
     def test_frame_count_one_second(self):
         # floor((16000 - 512) / 256) + 1 = 61
-        sgram = stft(make_noise(seed=3), 512, 256)
-        assert sgram.power.shape == (61, 257)
+        power, freqs = stft(make_noise(seed=3), 512, 256)
+        assert power.shape == (61, 257)
+        assert freqs.shape == (257,)
 
     def test_silence_all_zero(self):
-        sgram = stft(AudioSignal(np.zeros(4096) + 0.0, SR), 512, 256)
+        power, _ = stft(AudioSignal(np.zeros(4096) + 0.0, SR), 512, 256)
         # AudioSignal rejects empty but allows all-zero content
-        assert np.all(sgram.power == 0)
+        assert np.all(power == 0)
 
     def test_sign_flip_invariance(self):
         sig = make_noise(seed=4)
         flipped = AudioSignal(-sig.samples, SR)
         np.testing.assert_array_equal(
-            stft(sig, 512, 256).power, stft(flipped, 512, 256).power
+            stft(sig, 512, 256)[0], stft(flipped, 512, 256)[0]
         )
 
     @pytest.mark.parametrize("window", [512, 300])
     def test_power_matches_direct_dft_of_padded_windowed_frames(self, window):
         sig = make_noise(duration_s=0.125, seed=7)
-        sgram = stft(sig, window, window // 2)
+        power, _ = stft(sig, window, window // 2)
         frames = frame_signal(sig, window, window // 2)
-        assert sgram.power.shape == (len(frames), 257)
-        for row, frame in zip(sgram.power, frames):
+        assert power.shape == (len(frames), 257)
+        for row, frame in zip(power, frames):
             padded = np.zeros(512)
             padded[:window] = frame * hann_window(window)
             want = np.abs(direct_dft(padded)[:257]) ** 2
             assert np.linalg.norm(row - want) <= 1e-9 * np.linalg.norm(want)
 
     def test_non_pow2_window_zero_padded(self):
-        sgram = stft(make_noise(seed=5), 300, 150)
-        assert sgram.power.shape[1] == 512 // 2 + 1
-        assert sgram.bin_hz == pytest.approx(SR / 512)
+        power, freqs = stft(make_noise(seed=5), 300, 150)
+        assert power.shape[1] == 512 // 2 + 1
+        np.testing.assert_array_equal(freqs, np.arange(257) * (SR / 512))
 
 
 def stft_mfccs(sig, n_coeffs=13, n_filters=26, window_size=None, hop=None):
     """MFCCs the way the extractor takes them: from the STFT at the default window."""
     window_size = window_size or default_window_size(sig.sample_rate_hz)
-    spec = stft(sig, window_size, hop or window_size // 2)
-    return mfcc_from_spectrogram(spec, sig.sample_rate_hz, n_coeffs, n_filters)
+    power, _ = stft(sig, window_size, hop or window_size // 2)
+    return mfcc_from_spectrogram(power, sig.sample_rate_hz, n_coeffs, n_filters)
 
 
 class TestMFCC:
@@ -137,6 +137,11 @@ class TestMFCC:
         with pytest.raises(ParameterError):
             stft_mfccs(AudioSignal(np.ones(100), SR))
 
+    def test_single_bin_spectrogram_rejected(self):
+        # a one-point FFT gives one bin, and no even FFT size to build a filterbank for
+        with pytest.raises(ParameterError, match="2 frequency bins"):
+            mfcc_from_spectrogram(stft(AudioSignal(np.ones(100), SR), 1, 1)[0], SR)
+
     def test_filterbank_shape_and_support(self):
         bank = mel_filterbank(26, 512, SR)
         assert bank.shape == (26, 257)
@@ -190,23 +195,23 @@ class TestDWT:
 class TestChroma:
     def test_silence_zero(self):
         sgram = stft(AudioSignal(np.zeros(4096) + 0.0, SR), 512, 256)
-        assert chroma_vector(sgram).mean() == 0.0
+        assert chroma_vector(*sgram).mean() == 0.0
 
     def test_440_tone_concentrates_on_a(self):
         sgram = stft(make_tone(440.0), 2048, 1024)
-        vec = chroma_vector(sgram)
+        vec = chroma_vector(*sgram)
         assert vec[9] / vec.sum() > 0.9  # pitch class A
 
     def test_linearity_in_power(self):
         sig = make_tone(440.0)
         double = AudioSignal(2.0 * sig.samples, SR)
-        a = chroma_vector(stft(sig, 512, 256)).mean()
-        b = chroma_vector(stft(double, 512, 256)).mean()
+        a = chroma_vector(*stft(sig, 512, 256)).mean()
+        b = chroma_vector(*stft(double, 512, 256)).mean()
         assert b == pytest.approx(4.0 * a, rel=1e-9)
 
     def test_empty_spectrogram_rejected(self):
         with pytest.raises(ParameterError):
-            chroma_vector(Spectrogram(np.zeros((0, 257)), SR / 512))
+            chroma_vector(np.zeros((0, 257)), np.arange(257) * (SR / 512))
 
 
 def test_next_pow2():

@@ -176,7 +176,7 @@ def defined_moments(x: AudioSignal) -> dict:
     f_var = (p * (freqs - f_centroid) ** 2).sum()
     out["Spectral Skewness"] = (p * (freqs - f_centroid) ** 3).sum() / f_var ** 1.5
     out["Spectral Kurtosis"] = (p * (freqs - f_centroid) ** 4).sum() / f_var ** 2
-    frame_power = spectrogram(x).power.sum(axis=1)
+    frame_power = spectrogram(x)[0].sum(axis=1)
     zf = (frame_power - frame_power.mean()) / frame_power.std()
     out["Frame Energy Skewness"] = np.mean(zf ** 3)
     return out
