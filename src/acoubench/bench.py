@@ -27,6 +27,8 @@ from .dataset import Dataset, fit_scaler
 from .dsp import default_window_size
 from .errors import ParameterError, PipelineStageError, UnsupportedWavError
 from .evaluation import (
+    HOLDOUT,
+    VALIDATION,
     SignificanceReport,
     auc_roc,
     classification_metrics,
@@ -464,31 +466,35 @@ def _featurize(cfg: ExperimentConfig, signals) -> np.ndarray:
 def _fold_metrics(y_true, y_pred, probs, n_classes) -> tuple:
     """One fold's scores, in METRIC_COLUMNS order."""
     cm = confusion_from_predictions(y_true, y_pred, n_classes)
-    m = classification_metrics(cm)
-    return m.accuracy, m.precision, m.recall, m.f1, auc_roc(probs, y_true), mcc(cm)
+    return (*classification_metrics(cm), auc_roc(probs, y_true), mcc(cm))
+
+
+def _macro_f1(y_true, y_pred, n_classes) -> float:
+    """Macro F1 of the predictions over classes 0..n_classes-1."""
+    return classification_metrics(confusion_from_predictions(y_true, y_pred, n_classes))[3]
 
 
 def _prepare(cfg: ExperimentConfig):
-    """The data, features and cv stages; returns (featurized dataset, fold plan)."""
+    """The data, features and cv stages; returns (featurized dataset, each sample's fold id)."""
     with _stage("data"):
         dataset = _build_dataset(cfg)
     with _stage("features"):
         dataset = dataset.with_features(_featurize(cfg, dataset.signals))
     with _stage("cv"):
-        plan = stratified_kfold(
+        folds = stratified_kfold(
             dataset.labels,
             cfg.n_folds,
             seed=cfg.seed + 1,
             holdout_fraction=cfg.holdout_fraction,
             validation_fraction=cfg.validation_fraction,
         )
-        if cfg.noise_levels_db and not plan.holdout_mask.any():
+        if cfg.noise_levels_db and not np.any(folds == HOLDOUT):
             largest = int(np.bincount(dataset.labels).max())
             raise ParameterError(
                 f"'holdout_fraction' {cfg.holdout_fraction!r} of at most {largest} clips per "
                 "class rounds to a hold-out of 0 clips; the noise sweep needs at least one"
             )
-    return dataset, plan
+    return dataset, folds
 
 
 def _roster_key(spec: ModelSpec):
@@ -519,13 +525,13 @@ def _fit_roster(specs, X, y) -> list:
     return fitted
 
 
-def _fit_final_models(cfg: ExperimentConfig, dataset: Dataset, plan):
+def _fit_final_models(cfg: ExperimentConfig, dataset: Dataset, folds):
     """The final-models stage: every roster model fit on the whole CV split.
 
     Returns (scaler, scaled CV features, {name: fitted model}).
     """
     with _stage("final-models"):
-        cv_idx = np.where(plan.cv_mask)[0]
+        cv_idx = np.flatnonzero(folds >= 0)
         scaler = fit_scaler(dataset.features[cv_idx])
         X_full = scaler.transform(dataset.features[cv_idx])
         fitted = _fit_roster(cfg.model_specs(), X_full, dataset.labels[cv_idx])
@@ -539,18 +545,20 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
         specs = cfg.model_specs()
         names = cfg.model_names()
 
-    dataset, plan = _prepare(cfg)
+    dataset, folds = _prepare(cfg)
     n_classes = dataset.n_classes
 
     with _stage("train-eval"):
         # sample index, fold, true label, then one prediction per model
         table = np.zeros((len(dataset), 3 + len(names)), dtype=int)
         table[:, 0] = np.arange(len(dataset))
-        table[:, 1] = plan.fold_assignments
+        table[:, 1] = folds
         table[:, 2] = dataset.labels
         scores = np.zeros((cfg.n_folds, len(names), len(METRIC_COLUMNS)))
         fit_seconds = {name: [] for name in names}
-        for fold, (train_idx, test_idx) in enumerate(plan.iter_folds()):
+        for fold in range(cfg.n_folds):
+            train_idx = np.flatnonzero((folds >= 0) & (folds != fold))
+            test_idx = np.flatnonzero(folds == fold)
             scaler = fit_scaler(dataset.features[train_idx])
             X_train = scaler.transform(dataset.features[train_idx])
             X_test = scaler.transform(dataset.features[test_idx])
@@ -562,12 +570,12 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
                 pred = np.argmax(probs, axis=1)
                 scores[fold, m] = _fold_metrics(y_test, pred, probs, n_classes)
                 table[test_idx, 3 + m] = pred
-        table = table[plan.cv_mask]
+        table = table[folds >= 0]
 
     with _stage("significance"):
         sig = significance_from_table(names, table)
 
-    scaler, X_full, final_models = _fit_final_models(cfg, dataset, plan)
+    scaler, X_full, final_models = _fit_final_models(cfg, dataset, folds)
 
     with _stage("importance"):
         importance = None
@@ -586,7 +594,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     if cfg.noise_levels_db:
         with _stage("noise"):
             noise_table, conditions = _noise_sweep(
-                cfg, dataset, plan, scaler, final_models
+                cfg, dataset, folds, scaler, final_models
             )
 
     timing = None
@@ -612,8 +620,8 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
             "n_classes": n_classes,
             "class_counts": ",".join(str(int(c)) for c in class_counts),
             "n_folds": cfg.n_folds,
-            "holdout_samples": int(plan.holdout_mask.sum()),
-            "validation_samples": int(plan.validation_mask.sum()),
+            "holdout_samples": int(np.sum(folds == HOLDOUT)),
+            "validation_samples": int(np.sum(folds == VALIDATION)),
             "validation_note": "validation fraction is taken from the total sample count",
             "friedman_input": "per-fold macro-F1 matrix [n_folds x n_models]",
             "models": ",".join(names),
@@ -642,11 +650,10 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
     )
 
 
-def _noise_sweep(cfg, dataset, plan, scaler, final_models):
+def _noise_sweep(cfg, dataset, folds, scaler, final_models):
     """Evaluate clean-trained models on noise-injected hold-out signals."""
-    hold_idx = np.where(plan.holdout_mask)[0]
+    hold_idx = np.flatnonzero(folds == HOLDOUT)
     y_hold = dataset.labels[hold_idx]
-    n_classes = dataset.n_classes
     conditions = [math.inf] + list(cfg.noise_levels_db)
     table = {name: [] for name in final_models}
     for level_index, level in enumerate(conditions):
@@ -663,11 +670,7 @@ def _noise_sweep(cfg, dataset, plan, scaler, final_models):
             ]
             feats = scaler.transform(_featurize(cfg, noisy))
         for name, model in final_models.items():
-            pred = model.predict(feats)
-            f1 = classification_metrics(
-                confusion_from_predictions(y_hold, pred, n_classes)
-            ).f1
-            table[name].append(f1)
+            table[name].append(_macro_f1(y_hold, model.predict(feats), dataset.n_classes))
     return table, conditions
 
 
@@ -683,10 +686,10 @@ def run_noise_sweep(cfg: ExperimentConfig, levels_db=None):
         )
     if not cfg.noise_levels_db:  # _prepare checks the hold-out only when there are levels
         raise ParameterError("a noise sweep needs at least one noise level")
-    dataset, plan = _prepare(cfg)
-    scaler, _, final_models = _fit_final_models(cfg, dataset, plan)
+    dataset, folds = _prepare(cfg)
+    scaler, _, final_models = _fit_final_models(cfg, dataset, folds)
     with _stage("noise"):
-        table, conditions = _noise_sweep(cfg, dataset, plan, scaler, final_models)
+        table, conditions = _noise_sweep(cfg, dataset, folds, scaler, final_models)
     indices = {name: robustness_index(values) for name, values in table.items()}
     return cfg.model_names(), conditions, table, indices
 
@@ -734,11 +737,8 @@ def noise_rows(model_names, conditions, table) -> list:
 def significance_rows(sig: SignificanceReport) -> list:
     """Rows of significance.csv: the pairwise McNemar p-value matrix."""
     rows = [["Model"] + list(sig.model_names)]
-    for i, name in enumerate(sig.model_names):
-        cells = []
-        for j in range(len(sig.model_names)):
-            cells.append("-" if i == j else _p_value_cell(sig.mcnemar_p[i, j]))
-        rows.append([name] + cells)
+    for i, (name, p_row) in enumerate(zip(sig.model_names, sig.mcnemar_p)):
+        rows.append([name] + ["-" if i == j else _p_value_cell(p) for j, p in enumerate(p_row)])
     return rows
 
 
@@ -753,8 +753,7 @@ def friedman_rows(sig: SignificanceReport, n_folds=None, nemenyi_q_alpha=None) -
         rows.append(["nemenyi_critical_difference", _fmt(cd)])
         rows.append(["nemenyi_q_alpha", _fmt(nemenyi_q_alpha)])
     rows.append(["Model", "AvgRank"])
-    order = np.argsort(sig.avg_ranks, kind="stable")
-    for k in order:
+    for k in np.argsort(sig.avg_ranks, kind="stable"):
         rows.append([sig.model_names[k], f"{sig.avg_ranks[k]:.2f}"])
     return rows
 
@@ -927,10 +926,7 @@ def significance_from_table(names, table) -> SignificanceReport:
     folds, y_true, preds = table[:, 1], table[:, 2], table[:, 3:]
     n_classes = int(y_true.max()) + 1
     fold_f1 = [
-        [
-            classification_metrics(confusion_from_predictions(y_true[rows], p, n_classes)).f1
-            for p in preds[rows].T
-        ]
+        [_macro_f1(y_true[rows], p, n_classes) for p in preds[rows].T]
         for rows in (folds == fold for fold in np.unique(folds))
     ]
     return significance_report(names, (preds == y_true[:, None]).T, fold_f1)

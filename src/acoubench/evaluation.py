@@ -24,84 +24,60 @@ from .errors import ParameterError
 # confusion matrix and basic metrics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Counts[true, predicted] over C classes."""
+def confusion_from_predictions(y_true, y_pred, n_classes: int | None = None) -> np.ndarray:
+    """Counts[true, predicted] as an int64 [C, C] array, with C = ``n_classes``.
 
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        if counts.ndim != 2 or counts.shape[0] != counts.shape[1] or counts.shape[0] == 0:
-            raise ParameterError("confusion matrix must be a non-empty square matrix")
-        if np.any(counts < 0):
-            raise ParameterError("confusion matrix entries must be non-negative")
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion_from_predictions(y_true, y_pred, n_classes: int | None = None) -> ConfusionMatrix:
+    C defaults to one more than the largest label; a label outside 0..C-1 is rejected.
+    """
     y_true = np.asarray(y_true, dtype=int)
     y_pred = np.asarray(y_pred, dtype=int)
     if y_true.shape != y_pred.shape:
         raise ParameterError("prediction and truth vectors must have the same length")
     if n_classes is None:
         n_classes = int(max(y_true.max(), y_pred.max())) + 1
+    labels = np.concatenate([y_true, y_pred])
+    outside = labels[(labels < 0) | (labels >= n_classes)]
+    if outside.size:
+        raise ParameterError(f"label {int(outside[0])} lies outside the classes 0..{n_classes - 1}")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (y_true, y_pred), 1)
-    return ConfusionMatrix(counts=counts)
+    return counts
 
 
-@dataclass(frozen=True)
-class MetricSet:
-    """Macro-averaged scores plus the per-class vectors they come from."""
-
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    per_class_precision: np.ndarray
-    per_class_recall: np.ndarray
-    per_class_f1: np.ndarray
+def _checked_counts(counts) -> np.ndarray:
+    """A confusion matrix as floats, after checking it is square, non-empty and non-negative."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 2 or counts.shape[0] != counts.shape[1] or counts.shape[0] == 0:
+        raise ParameterError("confusion matrix must be a non-empty square matrix")
+    if np.any(counts < 0):
+        raise ParameterError("confusion matrix entries must be non-negative")
+    return counts.astype(float)
 
 
-def classification_metrics(cm: ConfusionMatrix) -> MetricSet:
-    """Accuracy plus macro precision/recall/F1; zero denominators score 0."""
-    counts = cm.counts.astype(float)
+def classification_metrics(counts) -> tuple:
+    """(accuracy, macro precision, macro recall, macro F1) of a confusion matrix.
+
+    A class with a zero denominator scores 0 for that quantity: its
+    numerator is 0 too, so the denominator is raised to 1.
+    """
+    counts = _checked_counts(counts)
     if counts.sum() == 0:
         raise ParameterError("confusion matrix holds no samples")
     tp = np.diag(counts)
-    pred_totals = counts.sum(axis=0)
-    true_totals = counts.sum(axis=1)
-    precision = np.where(pred_totals > 0, tp / np.where(pred_totals > 0, pred_totals, 1), 0.0)
-    recall = np.where(true_totals > 0, tp / np.where(true_totals > 0, true_totals, 1), 0.0)
+    precision = tp / np.maximum(counts.sum(axis=0), 1)
+    recall = tp / np.maximum(counts.sum(axis=1), 1)
     denom = precision + recall
-    f1 = np.where(denom > 0, 2 * precision * recall / np.where(denom > 0, denom, 1), 0.0)
-    return MetricSet(
-        accuracy=float(tp.sum() / counts.sum()),
-        precision=float(precision.mean()),
-        recall=float(recall.mean()),
-        f1=float(f1.mean()),
-        per_class_precision=precision,
-        per_class_recall=recall,
-        per_class_f1=f1,
-    )
+    f1 = 2 * precision * recall / np.where(denom > 0, denom, 1)
+    return float(tp.sum() / counts.sum()), *(float(v.mean()) for v in (precision, recall, f1))
 
 
-def mcc(cm: ConfusionMatrix) -> float:
-    """Matthews correlation coefficient.
+def mcc(counts) -> float:
+    """Matthews correlation coefficient of a confusion matrix.
 
     The generalized covariance form (Gorodkin 2004), which for C = 2 is
     the classic TP/TN/FP/FN formula. A zero denominator scores 0.
     """
-    counts = cm.counts.astype(float)
+    counts = _checked_counts(counts)
     s = counts.sum()
     c = np.trace(counts)
     t = counts.sum(axis=1)  # true-class totals
@@ -162,46 +138,19 @@ def auc_roc(scores, y_true) -> float:
 # cross-validation planning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CVPlan:
-    """Stratified fold assignment with optional hold-out/validation carving.
-
-    ``fold_assignments`` maps each sample to a fold id, or -1 for
-    samples carved into the hold-out or validation splits.
-    """
-
-    fold_assignments: np.ndarray
-    n_folds: int
-    holdout_mask: np.ndarray
-    validation_mask: np.ndarray
-    seed: int
-
-    def fold_indices(self, fold: int):
-        test = np.where(self.fold_assignments == fold)[0]
-        train = np.where((self.fold_assignments >= 0) & (self.fold_assignments != fold))[0]
-        return train, test
-
-    def iter_folds(self):
-        for fold in range(self.n_folds):
-            yield self.fold_indices(fold)
-
-    @property
-    def cv_mask(self) -> np.ndarray:
-        return self.fold_assignments >= 0
+# fold ids of the samples ``stratified_kfold`` carves off before folding
+HOLDOUT = -1
+VALIDATION = -2
 
 
 def stratified_kfold(
-    y,
-    n_folds: int,
-    seed: int,
-    holdout_fraction: float = 0.0,
-    validation_fraction: float = 0.0,
-) -> CVPlan:
-    """Per-class shuffle and round-robin assignment into ``n_folds`` folds.
+    y, n_folds: int, seed: int, holdout_fraction: float = 0.0, validation_fraction: float = 0.0
+) -> np.ndarray:
+    """Each sample's fold id, by per-class shuffle and round-robin into ``n_folds`` folds.
 
     When requested, a stratified hold-out and validation split (both
     fractions of the total, each in [0, 1)) are carved off before
-    folding; carved samples get fold id -1 and the corresponding mask set.
+    folding; their samples get the fold ids ``HOLDOUT`` and ``VALIDATION``.
     """
     y = np.asarray(y, dtype=int)
     if n_folds < 2:
@@ -213,9 +162,7 @@ def stratified_kfold(
     if holdout_fraction + validation_fraction >= 1.0:
         raise ParameterError("hold-out plus validation must leave data to fold")
     rng = np.random.default_rng(seed)
-    assignments = np.full(len(y), -1, dtype=int)
-    holdout = np.zeros(len(y), dtype=bool)
-    validation = np.zeros(len(y), dtype=bool)
+    folds = np.empty(len(y), dtype=int)
     for cls in np.unique(y):
         idx = rng.permutation(np.where(y == cls)[0])
         n_hold = round(holdout_fraction * len(idx))
@@ -225,17 +172,11 @@ def stratified_kfold(
                 f"class {cls} has {len(idx) - n_hold - n_val} foldable samples, "
                 f"fewer than {n_folds} folds"
             )
-        holdout[idx[:n_hold]] = True
-        validation[idx[n_hold : n_hold + n_val]] = True
+        folds[idx[:n_hold]] = HOLDOUT
+        folds[idx[n_hold : n_hold + n_val]] = VALIDATION
         foldable = idx[n_hold + n_val :]
-        assignments[foldable] = np.arange(len(foldable)) % n_folds
-    return CVPlan(
-        fold_assignments=assignments,
-        n_folds=n_folds,
-        holdout_mask=holdout,
-        validation_mask=validation,
-        seed=seed,
-    )
+        folds[foldable] = np.arange(len(foldable)) % n_folds
+    return folds
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +211,21 @@ def chi_square_sf(x: float, dof: int) -> float:
 # statistical model comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class McNemarResult:
-    chi2: float
-    p_value: float
-    b: int  # first classifier correct, second wrong
-    c: int  # first classifier wrong, second correct
-    degenerate: bool  # no disagreements at all
+def mcnemar(correct1, correct2) -> tuple:
+    """Continuity-corrected McNemar test on paired correctness vectors: (chi2, p).
 
-
-def mcnemar(correct1, correct2) -> McNemarResult:
-    """Continuity-corrected McNemar test on paired correctness vectors."""
+    With no disagreements at all the test is degenerate and gives (0.0, 1.0).
+    """
     correct1 = np.asarray(correct1, dtype=bool)
     correct2 = np.asarray(correct2, dtype=bool)
     if correct1.shape != correct2.shape:
         raise ParameterError("correctness vectors must cover the same samples")
-    b = int(np.count_nonzero(correct1 & ~correct2))
-    c = int(np.count_nonzero(~correct1 & correct2))
+    b = int(np.count_nonzero(correct1 & ~correct2))  # first correct, second wrong
+    c = int(np.count_nonzero(~correct1 & correct2))  # first wrong, second correct
     if b + c == 0:
-        return McNemarResult(chi2=0.0, p_value=1.0, b=b, c=c, degenerate=True)
+        return 0.0, 1.0
     chi2 = (abs(b - c) - 1) ** 2 / (b + c)
-    return McNemarResult(chi2=chi2, p_value=chi_square_sf(chi2, 1), b=b, c=c, degenerate=False)
+    return chi2, chi_square_sf(chi2, 1)
 
 
 # scores closer than this share a Friedman rank
@@ -309,15 +244,8 @@ def _average_ranks_desc(values: np.ndarray) -> np.ndarray:
     return above + (tied + 1) / 2.0
 
 
-@dataclass(frozen=True)
-class FriedmanResult:
-    chi2: float
-    p_value: float
-    avg_ranks: np.ndarray
-
-
-def friedman(performance) -> FriedmanResult:
-    """Friedman rank test over a [datasets x algorithms] score matrix.
+def friedman(performance) -> tuple:
+    """Friedman rank test over a [datasets x algorithms] score matrix: (chi2, p, avg_ranks).
 
     chi2 = 12N / (k(k+1)) * (sum R_j^2 - k(k+1)^2 / 4) with R_j the
     average rank of algorithm j (rank 1 = best score).
@@ -328,11 +256,10 @@ def friedman(performance) -> FriedmanResult:
     n, k = perf.shape
     if n < 2 or k < 2:
         raise ParameterError("need at least 2 datasets and 2 algorithms")
-    ranks = np.vstack([_average_ranks_desc(row) for row in perf])
-    avg = ranks.mean(axis=0)
+    avg = np.vstack([_average_ranks_desc(row) for row in perf]).mean(axis=0)
     chi2 = 12.0 * n / (k * (k + 1)) * (float(np.sum(avg ** 2)) - k * (k + 1) ** 2 / 4.0)
     chi2 = max(chi2, 0.0)  # guards tiny negative round-off on tied inputs
-    return FriedmanResult(chi2=chi2, p_value=chi_square_sf(chi2, k - 1), avg_ranks=avg)
+    return chi2, chi_square_sf(chi2, k - 1), avg
 
 
 def nemenyi_critical_difference(n_algorithms: int, n_datasets: int, q_alpha: float) -> float:
@@ -375,12 +302,5 @@ def significance_report(model_names, correctness, performance) -> SignificanceRe
     p = np.ones((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            p[i, j] = p[j, i] = mcnemar(correctness[i], correctness[j]).p_value
-    fr = friedman(performance)
-    return SignificanceReport(
-        model_names=names,
-        mcnemar_p=p,
-        friedman_chi2=fr.chi2,
-        friedman_p=fr.p_value,
-        avg_ranks=fr.avg_ranks,
-    )
+            p[i, j] = p[j, i] = mcnemar(correctness[i], correctness[j])[1]
+    return SignificanceReport(names, p, *friedman(performance))

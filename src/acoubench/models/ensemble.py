@@ -8,15 +8,21 @@ from ..errors import ParameterError
 from .base import Classifier
 
 
-def ensemble_predict_proba(members, weights, X) -> np.ndarray:
-    """Weighted sum of member probability vectors, renormalized to sum 1."""
-    if not members:
+def _checked_weights(weights, n_members: int) -> np.ndarray:
+    """One finite, non-negative weight per member, not all zero, as floats."""
+    if not n_members:
         raise ParameterError("ensemble needs at least one member")
     weights = np.asarray(weights, dtype=float)
-    if len(weights) != len(members):
+    if len(weights) != n_members:
         raise ParameterError("one weight per member is required")
-    if np.any(weights < 0) or not np.any(weights > 0):
-        raise ParameterError("weights must be >= 0 and not all zero")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0) or not np.any(weights > 0):
+        raise ParameterError(f"weights must be finite, >= 0 and not all zero, got {weights.tolist()}")
+    return weights
+
+
+def ensemble_predict_proba(members, weights, X) -> np.ndarray:
+    """Weighted sum of member probability vectors, renormalized to sum 1."""
+    weights = _checked_weights(weights, len(members))
     class_counts = {m.class_count for m in members}
     if len(class_counts) != 1:
         raise ParameterError(f"members disagree on class count: {sorted(class_counts)}")
@@ -49,16 +55,9 @@ class SoftVotingEnsemble(Classifier):
                 ModelSpec(kind="gbt", seed=seed + 2),
             ]
         self.member_specs = list(member_specs)
-        if not self.member_specs:
-            raise ParameterError("ensemble needs at least one member")
-        if weights is None:
-            weights = np.ones(len(self.member_specs))
-        self.weights = np.asarray(weights, dtype=float)
-        if len(self.weights) != len(self.member_specs):
-            raise ParameterError("one weight per member is required")
-        if np.any(self.weights < 0) or not np.any(self.weights > 0):
-            raise ParameterError("weights must be >= 0 and not all zero")
-        self.adopted = [None] * len(self.member_specs)
+        n_members = len(self.member_specs)
+        self.weights = _checked_weights(np.ones(n_members) if weights is None else weights, n_members)
+        self.adopted = [None] * n_members
 
     def adopt(self, fitted) -> "SoftVotingEnsemble":
         """Vote with already-fitted models in place of training those members.

@@ -13,6 +13,11 @@ _ACTIVATIONS = {
 }
 
 
+def _cross_entropy(probs, onehot) -> float:
+    """Mean cross-entropy of softmax outputs against one-hot labels."""
+    return -float(np.mean(np.sum(onehot * np.log(np.maximum(probs, 1e-15)), axis=1)))
+
+
 class MLPClassifier(Classifier):
     """Mini-batch gradient descent on x -> act(W1x+b1) -> act(W2.+b2) -> softmax."""
 
@@ -34,6 +39,10 @@ class MLPClassifier(Classifier):
             raise ParameterError(f"unknown activation {activation!r}")
         if not 0 < learning_rate <= 1:
             raise ParameterError("learning_rate must be in (0, 1]")
+        if epochs < 1:
+            raise ParameterError(f"epochs must be >= 1, got {epochs!r}")
+        if batch_size < 1:
+            raise ParameterError(f"batch_size must be >= 1, got {batch_size!r}")
         self.hidden = (int(hidden[0]), int(hidden[1]))
         self.activation = activation
         self.epochs = int(epochs)
@@ -69,7 +78,7 @@ class MLPClassifier(Classifier):
         z1, a1, z2, a2, probs = self._forward(X, weights)
         n = len(X)
         onehot = np.eye(self.class_count)[y]
-        loss = -float(np.mean(np.sum(onehot * np.log(np.maximum(probs, 1e-15)), axis=1)))
+        loss = _cross_entropy(probs, onehot)
 
         d3 = (probs - onehot) / n
         gW3 = a2.T @ d3
@@ -86,6 +95,7 @@ class MLPClassifier(Classifier):
         rng = np.random.default_rng(self.seed)
         self.weights_ = self._init_weights(X.shape[1], rng)
         n = len(X)
+        onehot = np.eye(self.class_count)[y]
         self.loss_history_ = []
         for epoch in range(self.epochs):
             order = rng.permutation(n)
@@ -99,8 +109,8 @@ class MLPClassifier(Classifier):
                     )
                 for w, g in zip(self.weights_, grads):
                     w -= self.learning_rate * g
-            epoch_loss, _ = self.loss_and_gradients(X, y)
-            self.loss_history_.append(epoch_loss)
+            # the epoch's loss over every row needs the forward pass only
+            self.loss_history_.append(_cross_entropy(self._forward(X, self.weights_)[-1], onehot))
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_fitted()

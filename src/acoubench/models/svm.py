@@ -141,6 +141,8 @@ class SVMClassifier(Classifier):
             raise ParameterError("C must be positive")
         if kernel not in ("linear", "rbf", "poly"):
             raise ParameterError(f"unknown kernel {kernel!r}")
+        if gamma is not None and not 0 < gamma < np.inf:  # NaN fails both comparisons
+            raise ParameterError(f"gamma must be positive and finite, or null, got {gamma!r}")
         self.kernel = kernel
         self.C = float(C)
         self.gamma = gamma

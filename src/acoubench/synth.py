@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,12 @@ class FaultClass(enum.IntEnum):
 
 
 N_CLASSES = len(FaultClass)
+
+
+def _finite(value, positive: bool = False) -> bool:
+    """Whether ``value`` is a finite real number (not a bool), and above 0 if ``positive``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value) and (value > 0 or not positive)
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,24 @@ class GeneratorConfig:
             raise ParameterError("samples_per_class must be >= 1")
         if not (0 < self.duration_s < math.inf and 0 < self.sample_rate_hz < math.inf):
             raise ParameterError("duration and sample rate must be positive and finite")
-        if len(self.impulse_amplitudes) != N_CLASSES or len(self.impulse_rates_hz) != N_CLASSES:
-            raise ParameterError("per-severity parameters need one value per class")
+        for name in ("shaft_freq_hz", "resonance_freq_hz", "resonance_decay_s"):
+            if not _finite(getattr(self, name), positive=True):
+                raise ParameterError(
+                    f"{name} must be a positive finite number, got {getattr(self, name)!r}"
+                )
+        if not _finite(self.noise_floor_db):
+            raise ParameterError(f"noise_floor_db must be a finite number, got {self.noise_floor_db!r}")
+        count = self.harmonic_count
+        if not (isinstance(count, numbers.Integral) and not isinstance(count, bool) and count >= 1):
+            raise ParameterError(f"harmonic_count must be an integer >= 1, got {count!r}")
+        for name, positive in (("impulse_rates_hz", True), ("impulse_amplitudes", False)):
+            values = getattr(self, name)
+            per_class = isinstance(values, (list, tuple)) and len(values) == N_CLASSES
+            if not (per_class and all(_finite(v, positive) for v in values)):
+                raise ParameterError(
+                    f"{name} must be {N_CLASSES} {'positive ' if positive else ''}finite numbers, "
+                    f"one per class, got {values!r}"
+                )
         amps = self.impulse_amplitudes
         if any(b <= a for a, b in zip(amps, amps[1:])):
             raise ParameterError("impulse amplitudes must increase strictly with severity")

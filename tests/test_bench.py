@@ -178,6 +178,30 @@ class TestConfig:
              r"block 'stats': 'nemenyi_q_alpha' must be positive and finite, got -1"),
             ({"stats": {"nemenyi_q_alpha": 0.0}}, r"'nemenyi_q_alpha' must be positive and finite"),
             ({"stats": {"nemenyi_q_alpha": math.nan}}, r"'nemenyi_q_alpha' must be positive and finite"),
+            ({"data": {"generator": {"noise_floor_db": "x"}}},
+             r"block 'data': noise_floor_db must be a finite number, got 'x'"),
+            ({"data": {"generator": {"impulse_amplitudes": "abcde"}}},
+             r"block 'data': impulse_amplitudes must be 5 finite numbers, one per class, got 'abcde'"),
+            ({"data": {"generator": {"impulse_amplitudes": 5}}},
+             r"block 'data': impulse_amplitudes must be 5 finite numbers, one per class, got 5"),
+            ({"data": {"generator": {"harmonic_count": 2.5}}},
+             r"block 'data': harmonic_count must be an integer >= 1, got 2.5"),
+            ({"data": {"generator": {"harmonic_count": -1}}},
+             r"block 'data': harmonic_count must be an integer >= 1, got -1"),
+            ({"data": {"generator": {"impulse_rates_hz": [107, 107, 0, 107, 107]}}},
+             r"block 'data': impulse_rates_hz must be 5 positive finite numbers, one per class"),
+            ({"data": {"generator": {"resonance_decay_s": 0}}},
+             r"block 'data': resonance_decay_s must be a positive finite number, got 0"),
+            ({"data": {"generator": {"shaft_freq_hz": math.nan}}},
+             r"block 'data': shaft_freq_hz must be a positive finite number, got nan"),
+            ({"models": [{"kind": "mlp", "params": {"batch_size": 0}}]},
+             r"models\[0\]: batch_size must be >= 1, got 0"),
+            ({"models": [{"kind": "mlp", "params": {"epochs": 0}}]},
+             r"models\[0\]: epochs must be >= 1, got 0"),
+            ({"models": [{"kind": "svm", "params": {"gamma": -1}}]},
+             r"models\[0\]: gamma must be positive and finite, or null, got -1"),
+            ({"models": [{"kind": "ensemble", "params": {"weights": [math.nan, 1, 1]}}]},
+             r"models\[0\]: weights must be finite, >= 0 and not all zero, got \[nan, 1.0, 1.0\]"),
         ],
         ids=["cv", "noise", "timing", "stats", "not-an-object", "config-not-an-object",
              "two-repetitions",
@@ -195,7 +219,10 @@ class TestConfig:
              "labels-csv-number", "permissive-int", "samples-per-class-string",
              "duration-string", "duration-nan", "samples-per-class-zero",
              "generator-not-an-object", "generator-key",
-             "nemenyi-negative", "nemenyi-zero", "nemenyi-nan"],
+             "nemenyi-negative", "nemenyi-zero", "nemenyi-nan",
+             "noise-floor-string", "amplitudes-string", "amplitudes-number",
+             "harmonics-fraction", "harmonics-negative", "rate-zero", "decay-zero", "shaft-nan",
+             "mlp-batch-zero", "mlp-epochs-zero", "svm-gamma-negative", "ensemble-weight-nan"],
     )
     def test_bad_config_block_rejected(self, raw, match):
         with pytest.raises(ParameterError, match=match):

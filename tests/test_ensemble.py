@@ -54,6 +54,13 @@ class TestEnsemblePredictProba:
         with pytest.raises(ParameterError):
             ensemble_predict_proba(members, [0.0], np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weight_rejected(self, bad):
+        # NaN fails both `w < 0` and `w > 0`, so a sign test alone lets it through
+        members = [FixedModel([0.6, 0.4]), FixedModel([0.2, 0.8])]
+        with pytest.raises(ParameterError, match="weights must be finite"):
+            ensemble_predict_proba(members, [bad, 1.0], np.zeros((1, 2)))
+
     def test_output_renormalized(self):
         members = [FixedModel([0.6, 0.4]), FixedModel([0.2, 0.8])]
         out = ensemble_predict_proba(members, [2.0, 0.5], np.zeros((1, 2)))

@@ -5,7 +5,8 @@ import pytest
 
 from acoubench.errors import ParameterError
 from acoubench.evaluation import (
-    ConfusionMatrix,
+    HOLDOUT,
+    VALIDATION,
     auc_roc,
     chi_square_sf,
     classification_metrics,
@@ -69,28 +70,46 @@ def chi2_sf_by_quadrature(x, dof, upper=2000.0, steps=4_000_001):
 # confusion-matrix metrics
 # ---------------------------------------------------------------------------
 
+class TestConfusionFromPredictions:
+    def test_counts_true_by_predicted(self):
+        counts = confusion_from_predictions([0, 1, 1, 2], [0, 1, 2, 2], 3)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+
+    def test_class_count_defaults_to_largest_label(self):
+        assert confusion_from_predictions([0, 1], [0, 3]).shape == (4, 4)
+
+    @pytest.mark.parametrize(
+        "y_true, y_pred, n_classes",
+        [([0, 1, 1], [0, -1, 1], 2), ([0, 1, 1], [0, 2, 1], 2), ([-1, 1], [0, 1], None)],
+        ids=["negative-prediction", "prediction-above", "negative-truth"],
+    )
+    def test_label_outside_classes_rejected(self, y_true, y_pred, n_classes):
+        with pytest.raises(ParameterError, match=r"label -?\d+ lies outside the classes 0\.\.1"):
+            confusion_from_predictions(y_true, y_pred, n_classes)
+
+
 class TestClassificationMetrics:
     def test_perfect_diagonal(self):
-        cm = ConfusionMatrix(np.diag([10, 20, 30]))
-        m = classification_metrics(cm)
-        assert m.accuracy == m.precision == m.recall == m.f1 == 1.0
+        assert classification_metrics(np.diag([10, 20, 30])) == (1.0, 1.0, 1.0, 1.0)
 
     def test_binary_hand_case(self):
-        # TP=50, FP=10, FN=5, TN=35 (class 1 positive):
-        # precision 50/60 = 0.8333, recall 50/55 = 0.9091, F1 0.8696
-        cm = ConfusionMatrix(np.array([[35, 10], [5, 50]]))
-        m = classification_metrics(cm)
-        assert m.per_class_precision[1] == pytest.approx(0.8333, abs=1e-4)
-        assert m.per_class_recall[1] == pytest.approx(0.9091, abs=1e-4)
-        assert m.per_class_f1[1] == pytest.approx(0.8696, abs=1e-4)
-        assert m.accuracy == pytest.approx(85 / 100)
+        # class 1: precision 50/60 = 0.8333, recall 50/55 = 0.9091, F1 100/115 = 0.8696;
+        # class 0: precision 35/40 = 0.875, recall 35/45 = 0.7778, F1 70/85 = 0.8235
+        accuracy, precision, recall, f1 = classification_metrics(np.array([[35, 10], [5, 50]]))
+        assert precision == pytest.approx((50 / 60 + 35 / 40) / 2, abs=1e-12)
+        assert recall == pytest.approx((50 / 55 + 35 / 45) / 2, abs=1e-12)
+        assert f1 == pytest.approx((100 / 115 + 70 / 85) / 2, abs=1e-12)
+        assert accuracy == pytest.approx(85 / 100)
 
     def test_never_predicted_class_scores_zero_not_nan(self):
-        # class 2 never predicted
+        # class 2 never predicted: its precision, recall and F1 are 0, the
+        # other two classes have precision 1/2, recall 1 and F1 2/3
         cm = confusion_from_predictions([0, 1, 2, 2], [0, 1, 0, 1], n_classes=3)
-        m = classification_metrics(cm)
-        assert m.per_class_precision[2] == 0.0
-        assert np.all(np.isfinite(m.per_class_f1))
+        _, precision, recall, f1 = classification_metrics(cm)
+        assert precision == pytest.approx(1 / 3, abs=1e-12)
+        assert recall == pytest.approx(2 / 3, abs=1e-12)
+        assert f1 == pytest.approx(4 / 9, abs=1e-12)
 
     def test_permutation_invariance(self, rng):
         y_true = rng.integers(0, 4, size=60)
@@ -100,20 +119,14 @@ class TestClassificationMetrics:
         b = classification_metrics(
             confusion_from_predictions(y_true[perm], y_pred[perm], 4)
         )
-        assert (a.accuracy, a.precision, a.recall, a.f1) == (
-            b.accuracy,
-            b.precision,
-            b.recall,
-            b.f1,
-        )
-        np.testing.assert_array_equal(a.per_class_f1, b.per_class_f1)
+        assert a == b
 
     def test_macro_f1_matches_loop_oracle(self, rng):
         for _ in range(50):
             n = int(rng.integers(5, 30))
             y_true = rng.integers(0, 3, size=n)
             y_pred = rng.integers(0, 3, size=n)
-            m = classification_metrics(confusion_from_predictions(y_true, y_pred, 3))
+            f1 = classification_metrics(confusion_from_predictions(y_true, y_pred, 3))[3]
             f1s = []
             for c in range(3):
                 tp = np.sum((y_true == c) & (y_pred == c))
@@ -122,34 +135,48 @@ class TestClassificationMetrics:
                 prec = tp / (tp + fp) if tp + fp else 0.0
                 rec = tp / (tp + fn) if tp + fn else 0.0
                 f1s.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
-            assert m.f1 == pytest.approx(np.mean(f1s), abs=1e-9)
+            assert f1 == pytest.approx(np.mean(f1s), abs=1e-9)
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(ParameterError):
-            classification_metrics(ConfusionMatrix(np.zeros((2, 2), dtype=int)))
+        with pytest.raises(ParameterError, match="holds no samples"):
+            classification_metrics(np.zeros((2, 2), dtype=int))
+
+    @pytest.mark.parametrize("score", [classification_metrics, mcc], ids=["metrics", "mcc"])
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            (np.ones((2, 3)), "non-empty square"),
+            (np.ones(4), "non-empty square"),
+            (np.zeros((0, 0)), "non-empty square"),
+            (np.array([[3, -1], [0, 2]]), "non-negative"),
+        ],
+        ids=["not-square", "one-dimensional", "no-classes", "negative-count"],
+    )
+    def test_malformed_counts_rejected(self, score, counts, match):
+        with pytest.raises(ParameterError, match=match):
+            score(counts)
 
 
 class TestMCC:
     def test_perfect_agreement(self):
-        assert mcc(ConfusionMatrix(np.array([[50, 0], [0, 50]]))) == 1.0
+        assert mcc(np.array([[50, 0], [0, 50]])) == 1.0
 
     def test_perfect_disagreement(self):
-        assert mcc(ConfusionMatrix(np.array([[0, 50], [50, 0]]))) == -1.0
+        assert mcc(np.array([[0, 50], [50, 0]])) == -1.0
 
     def test_hand_value(self):
         # TP=45, FN=5, FP=10, TN=40 -> 0.7035
-        cm = ConfusionMatrix(np.array([[40, 10], [5, 45]]))
-        assert mcc(cm) == pytest.approx(0.7035, abs=1e-4)
+        assert mcc(np.array([[40, 10], [5, 45]])) == pytest.approx(0.7035, abs=1e-4)
 
     def test_zero_denominator(self):
-        assert mcc(ConfusionMatrix(np.array([[3, 2], [0, 0]]))) == 0.0
+        assert mcc(np.array([[3, 2], [0, 0]])) == 0.0
 
     def test_multiclass_reduces_to_binary(self, rng):
         for _ in range(100):
             counts = rng.integers(0, 20, size=(2, 2))
             if counts.sum() == 0:
                 continue
-            binary = mcc(ConfusionMatrix(counts))
+            binary = mcc(counts)
             # embed as a 3-class matrix with an empty third class; the
             # generalized form must agree with the binary formula
             y_true, y_pred = [], []
@@ -230,9 +257,9 @@ class TestAUC:
 class TestStratifiedKFold:
     def test_balanced_100_samples(self):
         y = np.repeat(np.arange(5), 20)
-        plan = stratified_kfold(y, 5, seed=1)
+        folds = stratified_kfold(y, 5, seed=1)
         for fold in range(5):
-            _, test_idx = plan.fold_indices(fold)
+            test_idx = np.flatnonzero(folds == fold)
             assert len(test_idx) == 20
             np.testing.assert_array_equal(np.bincount(y[test_idx], minlength=5), [4] * 5)
 
@@ -245,32 +272,31 @@ class TestStratifiedKFold:
         y = np.repeat(np.arange(3), 10)
         a = stratified_kfold(y, 5, seed=3)
         b = stratified_kfold(y, 5, seed=3)
-        np.testing.assert_array_equal(a.fold_assignments, b.fold_assignments)
+        np.testing.assert_array_equal(a, b)
 
     def test_proportions_within_one_sample(self, rng):
         for _ in range(20):
             y = rng.integers(0, 4, size=int(rng.integers(40, 120)))
             if np.bincount(y, minlength=4).min() < 3:
                 continue
-            plan = stratified_kfold(y, 3, seed=4)
+            folds = stratified_kfold(y, 3, seed=4)
             global_counts = np.bincount(y, minlength=4)
             for fold in range(3):
-                _, test_idx = plan.fold_indices(fold)
+                test_idx = np.flatnonzero(folds == fold)
                 counts = np.bincount(y[test_idx], minlength=4)
                 expected = global_counts / 3
                 assert np.all(np.abs(counts - expected) <= 1.0)
 
     def test_holdout_and_validation_carving(self):
         y = np.repeat(np.arange(5), 20)
-        plan = stratified_kfold(y, 5, seed=5, holdout_fraction=0.2, validation_fraction=0.1)
-        assert plan.holdout_mask.sum() == 20
-        assert plan.validation_mask.sum() == 10
-        assert plan.cv_mask.sum() == 70
-        # carved samples never appear in folds
-        assert np.all(plan.fold_assignments[plan.holdout_mask] == -1)
-        assert np.all(plan.fold_assignments[plan.validation_mask] == -1)
+        folds = stratified_kfold(y, 5, seed=5, holdout_fraction=0.2, validation_fraction=0.1)
+        assert np.sum(folds == HOLDOUT) == 20
+        assert np.sum(folds == VALIDATION) == 10
+        assert np.sum(folds >= 0) == 70
+        # every sample is carved off or in one of the folds
+        assert set(np.unique(folds)) == {HOLDOUT, VALIDATION, 0, 1, 2, 3, 4}
         # stratified: each class contributes equally to the hold-out
-        np.testing.assert_array_equal(np.bincount(y[plan.holdout_mask]), [4] * 5)
+        np.testing.assert_array_equal(np.bincount(y[folds == HOLDOUT]), [4] * 5)
 
     @pytest.mark.parametrize(
         "holdout, validation", [(0.2, -0.1), (-0.2, 0.0), (1.0, 0.0), (0.0, 1.5)]
@@ -282,9 +308,10 @@ class TestStratifiedKFold:
 
     def test_folds_partition_cv_data(self):
         y = np.repeat(np.arange(2), 25)
-        plan = stratified_kfold(y, 5, seed=6, holdout_fraction=0.2)
-        seen = np.concatenate([plan.fold_indices(f)[1] for f in range(5)])
-        assert sorted(seen) == sorted(np.where(plan.cv_mask)[0])
+        folds = stratified_kfold(y, 5, seed=6, holdout_fraction=0.2)
+        seen = np.concatenate([np.flatnonzero(folds == f) for f in range(5)])
+        assert sorted(seen) == sorted(np.flatnonzero(folds != HOLDOUT))
+        assert len(seen) == 40
 
 
 class TestChiSquareSF:
@@ -317,50 +344,46 @@ class TestMcNemar:
         # b = c = 10 -> chi2 = (|0| - 1)^2 / 20 = 0.05
         c1 = np.array([True] * 10 + [False] * 10 + [True] * 30)
         c2 = np.array([False] * 10 + [True] * 10 + [True] * 30)
-        res = mcnemar(c1, c2)
-        assert res.chi2 == pytest.approx(0.05)
-        assert (res.b, res.c) == (10, 10)
+        chi2, p = mcnemar(c1, c2)
+        assert chi2 == pytest.approx(0.05)
+        assert p == chi_square_sf(chi2, 1)
 
     def test_one_sided_disagreements(self):
         # b = 20, c = 0 -> chi2 = 19^2 / 20 = 18.05, p < 0.001
         c1 = np.array([True] * 20 + [True] * 30)
         c2 = np.array([False] * 20 + [True] * 30)
-        res = mcnemar(c1, c2)
-        assert res.chi2 == pytest.approx(18.05)
-        assert res.p_value < 0.001
+        chi2, p = mcnemar(c1, c2)
+        assert chi2 == pytest.approx(18.05)
+        assert p < 0.001
 
     def test_identical_predictions_degenerate(self):
         c = np.array([True, False, True])
-        res = mcnemar(c, c)
-        assert res.degenerate
-        assert res.p_value == 1.0
+        assert mcnemar(c, c) == (0.0, 1.0)
 
     def test_symmetry(self, rng):
         c1 = rng.random(50) > 0.3
         c2 = rng.random(50) > 0.5
-        a, b = mcnemar(c1, c2), mcnemar(c2, c1)
-        assert a.chi2 == b.chi2
-        assert a.p_value == b.p_value
+        assert mcnemar(c1, c2) == mcnemar(c2, c1)
 
 
 class TestFriedman:
     def test_all_tied(self):
-        res = friedman(np.ones((4, 3)))
-        assert res.chi2 == 0.0
-        np.testing.assert_array_equal(res.avg_ranks, [2.0, 2.0, 2.0])
+        chi2, p, ranks = friedman(np.ones((4, 3)))
+        assert (chi2, p) == (0.0, 1.0)
+        np.testing.assert_array_equal(ranks, [2.0, 2.0, 2.0])
 
     def test_perfectly_ordered_hand_case(self):
         # N=3, k=3, identical ordering: ranks (1,2,3), sum R^2 = 14,
         # chi2 = (12*3)/(3*4) * (14 - 3*16/4) = 3 * 2 = 6
         perf = np.array([[0.9, 0.8, 0.7]] * 3)
-        res = friedman(perf)
-        assert res.chi2 == pytest.approx(6.0)
-        np.testing.assert_allclose(res.avg_ranks, [1.0, 2.0, 3.0])
-        assert res.p_value == pytest.approx(math.exp(-3.0), abs=1e-12)
+        chi2, p, ranks = friedman(perf)
+        assert chi2 == pytest.approx(6.0)
+        np.testing.assert_allclose(ranks, [1.0, 2.0, 3.0])
+        assert p == pytest.approx(math.exp(-3.0), abs=1e-12)
 
     def test_tied_scores_share_average_rank(self):
-        res = friedman(np.array([[0.5, 0.5, 0.1], [0.5, 0.5, 0.1]]))
-        np.testing.assert_allclose(res.avg_ranks, [1.5, 1.5, 3.0])
+        _, _, ranks = friedman(np.array([[0.5, 0.5, 0.1], [0.5, 0.5, 0.1]]))
+        np.testing.assert_allclose(ranks, [1.5, 1.5, 3.0])
 
     def test_round_off_does_not_break_a_tie(self):
         # fold F1 of knn, svm, rf, gbt, mlp, ensemble on perfbench's `bench`
@@ -373,11 +396,11 @@ class TestFriedman:
             [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
             [0.7333333333333333, 1.0, 1.0, 1.0, 0.7333333333333333, 1.0],
         ])
-        res = friedman(perf)
+        chi2, _, ranks = friedman(perf)
         # fold ranks: (5.5 2 2 4 5.5 2), (6 2.5 2.5 2.5 5 2.5), (3.5 x6) twice, (5.5 2.5 2.5 2.5 5.5 2.5)
-        np.testing.assert_allclose(res.avg_ranks, [4.8, 2.8, 2.8, 3.2, 4.6, 2.8], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ranks, [4.8, 2.8, 2.8, 3.2, 4.6, 2.8], rtol=0, atol=1e-12)
         # 12 * 5 / 42 * (77.96 - 73.5)
-        assert res.chi2 == pytest.approx(60 / 42 * 4.46, abs=1e-9)
+        assert chi2 == pytest.approx(60 / 42 * 4.46, abs=1e-9)
 
     def test_too_small_rejected(self):
         with pytest.raises(ParameterError):
