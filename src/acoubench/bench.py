@@ -14,8 +14,8 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from . import __version__
 from .audio import normalize_amplitude, normalize_rms
 from .dataset import Dataset, fit_scaler
 from .dsp import default_window_size
-from .errors import ParameterError, PipelineStageError, UnsupportedWavError
+from .errors import ParameterError, PipelineStageError, UnsupportedWavError, checked
 from .evaluation import (
     HOLDOUT,
     VALIDATION,
@@ -72,45 +72,26 @@ _CONFIG_BLOCKS = {
     "timing": {"enabled": "timing_enabled", "repetitions": "timing_repetitions"},
     "stats": {"nemenyi_q_alpha": "nemenyi_q_alpha"},
 }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-# what each cv, noise, timing and stats field accepts: (test, description)
-_FIELD_TYPES = {
-    "n_folds": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-    "holdout_fraction": (_is_real, "a number"),
-    "validation_fraction": (_is_real, "a number"),
-    # NaN and -inf fail the comparison; inf is the noise-free condition
-    "noise_levels_db": (
-        lambda v: isinstance(v, (list, tuple)) and all(_is_real(x) and x > -math.inf for x in v),
-        "a list of numbers (inf for no noise)",
-    ),
-    "timing_enabled": (lambda v: isinstance(v, bool), "true or false"),
-    "timing_repetitions": (_is_int, "an integer"),
-    "nemenyi_q_alpha": (lambda v: v is None or _is_real(v), "a number or null"),
-}
 # what each data key accepts besides "source", per source: (test, description);
-# GeneratorConfig checks the sizes' ranges and the generator keys
+# GeneratorConfig checks a synthetic corpus's sizes and its generator's keys
+_CORPUS_SIZES = ("samples_per_class", "duration_s", "sample_rate_hz")
 _DATA_FIELDS = {
-    "synthetic": {
-        "samples_per_class": (_is_int, "an integer"),
-        "duration_s": (_is_real, "a number"),
-        "sample_rate_hz": (_is_real, "a number"),
-        "generator": (lambda v: isinstance(v, dict), "an object"),
-    },
+    "synthetic": {"generator": (lambda v: isinstance(v, dict), "an object")},
     "wav": {
         "directory": (lambda v: isinstance(v, str), "a string"),
         "labels_csv": (lambda v: isinstance(v, str), "a string"),
         "permissive": (lambda v: isinstance(v, bool), "true or false"),
     },
 }
+
+
+@contextmanager
+def _config_block(block: str):
+    """Names the config block in a ParameterError raised inside."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ParameterError(f"config block {block!r}: {exc}") from None
 
 
 def _roster_entry(index: int, entry) -> dict:
@@ -160,9 +141,7 @@ class ExperimentConfig:
     output_dir: str = "bench-output"
 
     def __post_init__(self):
-        if self.seed is None:
-            raise ParameterError("a seed is mandatory")
-        self.seed = int(self.seed)
+        self.seed = checked("seed", self.seed, int)
         if not isinstance(self.models, (list, tuple)):
             raise ParameterError(f"config key 'models' must be a list, got {self.models!r}")
         if not self.models:
@@ -173,7 +152,8 @@ class ExperimentConfig:
         if not isinstance(source, str) or source not in _DATA_FIELDS:
             raise ParameterError(f"unknown data source {source!r}")
         data_fields = _DATA_FIELDS[source]
-        unknown = set(self.data) - {"source", *data_fields}
+        sizes = _CORPUS_SIZES if source == "synthetic" else ()
+        unknown = set(self.data) - {"source", *sizes, *data_fields}
         if unknown:
             raise ParameterError(f"unknown keys in config block 'data': {sorted(unknown)}")
         for key in ("directory", "labels_csv") if source == "wav" else ():
@@ -188,40 +168,38 @@ class ExperimentConfig:
             self.generator_config()
         if not isinstance(self.preprocess, str) or self.preprocess not in _PREPROCESS:
             raise ParameterError(f"unknown preprocess mode {self.preprocess!r}")
-        for block, keys in _CONFIG_BLOCKS.items():
-            for key, name in keys.items():
-                if name in _FIELD_TYPES:
-                    accepts, expected = _FIELD_TYPES[name]
-                    value = getattr(self, name)
-                    if not accepts(value):
-                        raise ParameterError(
-                            f"config block {block!r}: {key!r} must be {expected}, got {value!r}"
-                        )
-        for key in ("holdout_fraction", "validation_fraction"):
-            value = getattr(self, key)
-            if not 0 <= value < 1:
-                raise ParameterError(f"config block 'cv': {key!r} must lie in [0, 1), got {value!r}")
-        q_alpha = self.nemenyi_q_alpha
-        if q_alpha is not None and not 0 < q_alpha < math.inf:  # NaN fails both comparisons
-            raise ParameterError(
-                "config block 'stats': 'nemenyi_q_alpha' must be positive and finite, "
-                f"got {q_alpha!r}"
+        # checked, not rewritten: config_hash hashes each value as the config gives it
+        with _config_block("cv"):
+            checked("n_folds", self.n_folds, int, "[2, inf)")
+            for key in ("holdout_fraction", "validation_fraction"):
+                checked(key, getattr(self, key), float, "[0, 1)")
+            if self.holdout_fraction + self.validation_fraction >= 1:
+                raise ParameterError(
+                    "'holdout_fraction' plus 'validation_fraction' must be below 1 to leave "
+                    f"data to fold, got {self.holdout_fraction!r} + {self.validation_fraction!r}"
+                )
+        with _config_block("noise"):
+            levels = self.noise_levels_db
+            if not isinstance(levels, (list, tuple)):
+                raise ParameterError(
+                    f"'levels_db' must be a list of numbers (inf for no noise), got {levels!r}"
+                )
+            levels = tuple(
+                checked(f"levels_db[{i}]", v, float, "(-inf, inf]") for i, v in enumerate(levels)
             )
-        if self.holdout_fraction + self.validation_fraction >= 1:
-            raise ParameterError(
-                "config block 'cv': 'holdout_fraction' plus 'validation_fraction' must be "
-                f"below 1 to leave data to fold, got {self.holdout_fraction!r} + "
-                f"{self.validation_fraction!r}"
-            )
-        levels = tuple(float(v) for v in self.noise_levels_db)
-        if any(b >= a for a, b in zip(levels, levels[1:])):
-            raise ParameterError("noise levels must be strictly decreasing")
-        if levels and not self.holdout_fraction > 0:
-            raise ParameterError("a noise sweep needs a hold-out split (holdout_fraction > 0)")
-        if self.timing_enabled and self.timing_repetitions < 3:
-            raise ParameterError(
-                f"timing.repetitions must be at least 3, got {self.timing_repetitions}"
-            )
+            if any(b >= a for a, b in zip(levels, levels[1:])):
+                raise ParameterError("noise levels must be strictly decreasing")
+            if levels and not self.holdout_fraction > 0:
+                raise ParameterError("a noise sweep needs a hold-out split (holdout_fraction > 0)")
+        with _config_block("timing"):
+            if not isinstance(self.timing_enabled, bool):
+                raise ParameterError(f"'enabled' must be true or false, got {self.timing_enabled!r}")
+            # a timing median takes at least 3 repetitions
+            repetitions = "[3, inf)" if self.timing_enabled else "(-inf, inf)"
+            checked("repetitions", self.timing_repetitions, int, repetitions)
+        if self.nemenyi_q_alpha is not None:
+            with _config_block("stats"):
+                checked("nemenyi_q_alpha", self.nemenyi_q_alpha, float, "(0, inf)")
         self.noise_levels_db = levels
         self.models = tuple(_roster_entry(i, m) for i, m in enumerate(self.models))
 

@@ -56,10 +56,7 @@ def make_model(spec: ModelSpec) -> Classifier:
         return SoftVotingEnsemble(
             member_specs=member_specs, weights=weights, seed=spec.seed, **params
         )
-    params = dict(spec.params)
-    if "hidden" in params:
-        params["hidden"] = tuple(params["hidden"])
-    return _CLASSES[spec.kind](seed=spec.seed, **params)
+    return _CLASSES[spec.kind](seed=spec.seed, **spec.params)
 
 
 def resolved_params(spec: ModelSpec) -> dict:

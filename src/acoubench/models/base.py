@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, checked
 
 MODEL_KINDS = ("knn", "svm", "rf", "gbt", "mlp", "ensemble")
 
@@ -23,7 +23,7 @@ class Classifier:
     kind = "base"
 
     def __init__(self, seed: int = 0):
-        self.seed = int(seed)
+        self.seed = checked("seed", seed, int)
         self.class_count: int | None = None
         self.training_seconds: float | None = None
 

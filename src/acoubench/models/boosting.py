@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import checked
 from .base import Classifier, softmax
 from .tree import Tree, pick_split, sorted_prefix_sums
 
@@ -70,15 +70,11 @@ class GradientBoostedTrees(Classifier):
         seed: int = 0,
     ):
         super().__init__(seed=seed)
-        if n_rounds < 1:
-            raise ParameterError("n_rounds must be >= 1")
-        if not 0 < learning_rate <= 1:
-            raise ParameterError("learning_rate must be in (0, 1]")
-        self.n_rounds = int(n_rounds)
-        self.learning_rate = float(learning_rate)
-        self.max_depth = int(max_depth)
-        self.gamma_split = float(gamma_split)
-        self.lambda_l2 = float(lambda_l2)
+        self.n_rounds = checked("n_rounds", n_rounds, int, "[1, inf)")
+        self.learning_rate = checked("learning_rate", learning_rate, float, "(0, 1]")
+        self.max_depth = checked("max_depth", max_depth, int)
+        self.gamma_split = checked("gamma_split", gamma_split)
+        self.lambda_l2 = checked("lambda_l2", lambda_l2, float, "[0, inf)")
 
     def _regularized_loss(self, scores, onehot):
         probs = softmax(scores)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, checked
 from .base import Classifier
 
 
@@ -12,11 +12,13 @@ def _checked_weights(weights, n_members: int) -> np.ndarray:
     """One finite, non-negative weight per member, not all zero, as floats."""
     if not n_members:
         raise ParameterError("ensemble needs at least one member")
-    weights = np.asarray(weights, dtype=float)
-    if len(weights) != n_members:
-        raise ParameterError("one weight per member is required")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0) or not np.any(weights > 0):
-        raise ParameterError(f"weights must be finite, >= 0 and not all zero, got {weights.tolist()}")
+    if not isinstance(weights, (list, tuple, np.ndarray)) or len(weights) != n_members:
+        raise ParameterError(f"'weights' must be one number per member, got {weights!r}")
+    weights = np.array(
+        [checked(f"weights[{i}]", w, float, "[0, inf)") for i, w in enumerate(weights)]
+    )
+    if not np.any(weights > 0):
+        raise ParameterError(f"'weights' must not all be zero, got {weights.tolist()}")
     return weights
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import checked
 from .base import Classifier
 from .tree import Tree, pick_split, sorted_prefix_sums
 
@@ -85,11 +85,9 @@ class RandomForestClassifier(Classifier):
     def __init__(self, n_trees: int = 60, max_depth: int = 16,
                  min_samples_split: int = 2, seed: int = 0):
         super().__init__(seed=seed)
-        if n_trees < 1:
-            raise ParameterError("n_trees must be >= 1")
-        self.n_trees = int(n_trees)
-        self.max_depth = int(max_depth)
-        self.min_samples_split = int(min_samples_split)
+        self.n_trees = checked("n_trees", n_trees, int, "[1, inf)")
+        self.max_depth = checked("max_depth", max_depth, int)
+        self.min_samples_split = checked("min_samples_split", min_samples_split, int)
 
     def _fit(self, X, y):
         n, d = X.shape

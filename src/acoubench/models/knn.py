@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, checked
 from .base import Classifier, squared_distances
 
 _CHUNK = 256  # queries per distance block, bounds peak memory
@@ -41,11 +41,9 @@ class KNNClassifier(Classifier):
 
     def __init__(self, k: int = 7, metric: str = "euclidean", seed: int = 0):
         super().__init__(seed=seed)
-        if k < 1:
-            raise ParameterError("k must be >= 1")
         if metric not in ("euclidean", "manhattan", "cosine"):
             raise ParameterError(f"unknown metric {metric!r}")
-        self.k = int(k)
+        self.k = checked("k", k, int, "[1, inf)")
         self.metric = metric
 
     def _fit(self, X, y):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DivergenceError, ParameterError
+from ..errors import DivergenceError, ParameterError, checked
 from .base import Classifier, softmax
 
 _ACTIVATIONS = {
@@ -33,21 +33,17 @@ class MLPClassifier(Classifier):
         seed: int = 0,
     ):
         super().__init__(seed=seed)
-        if len(hidden) != 2 or any(h < 1 for h in hidden):
-            raise ParameterError("hidden must be two layer sizes >= 1")
+        if not isinstance(hidden, (list, tuple)) or len(hidden) != 2:
+            raise ParameterError(f"'hidden' must be two layer sizes, got {hidden!r}")
         if activation not in _ACTIVATIONS:
             raise ParameterError(f"unknown activation {activation!r}")
-        if not 0 < learning_rate <= 1:
-            raise ParameterError("learning_rate must be in (0, 1]")
-        if epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {epochs!r}")
-        if batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {batch_size!r}")
-        self.hidden = (int(hidden[0]), int(hidden[1]))
+        self.hidden = tuple(
+            checked(f"hidden[{i}]", h, int, "[1, inf)") for i, h in enumerate(hidden)
+        )
         self.activation = activation
-        self.epochs = int(epochs)
-        self.learning_rate = float(learning_rate)
-        self.batch_size = int(batch_size)
+        self.epochs = checked("epochs", epochs, int, "[1, inf)")
+        self.learning_rate = checked("learning_rate", learning_rate, float, "(0, 1]")
+        self.batch_size = checked("batch_size", batch_size, int, "[1, inf)")
 
     def _init_weights(self, n_features: int, rng) -> list:
         sizes = [n_features, self.hidden[0], self.hidden[1], self.class_count]

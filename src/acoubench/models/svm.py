@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConvergenceWarning, ParameterError
+from ..errors import ConvergenceWarning, ParameterError, checked
 from .base import Classifier, squared_distances
 
 KKT_TOL = 1e-3
@@ -137,18 +137,14 @@ class SVMClassifier(Classifier):
         seed: int = 0,
     ):
         super().__init__(seed=seed)
-        if C <= 0:
-            raise ParameterError("C must be positive")
         if kernel not in ("linear", "rbf", "poly"):
             raise ParameterError(f"unknown kernel {kernel!r}")
-        if gamma is not None and not 0 < gamma < np.inf:  # NaN fails both comparisons
-            raise ParameterError(f"gamma must be positive and finite, or null, got {gamma!r}")
         self.kernel = kernel
-        self.C = float(C)
-        self.gamma = gamma
-        self.coef0 = float(coef0)
-        self.degree = int(degree)
-        self.tol = float(tol)
+        self.C = checked("C", C, float, "(0, inf)")
+        self.gamma = None if gamma is None else checked("gamma", gamma, float, "(0, inf)")
+        self.coef0 = checked("coef0", coef0)
+        self.degree = checked("degree", degree, int)
+        self.tol = checked("tol", tol)
 
     def _resolved_gamma(self, X) -> float:
         if self.gamma is not None:

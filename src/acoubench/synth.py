@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import AudioSignal
 from .dataset import Dataset
-from .errors import DegenerateSignalError, ParameterError
+from .errors import DegenerateSignalError, ParameterError, checked
 
 
 class FaultClass(enum.IntEnum):
@@ -30,12 +29,6 @@ class FaultClass(enum.IntEnum):
 
 
 N_CLASSES = len(FaultClass)
-
-
-def _finite(value, positive: bool = False) -> bool:
-    """Whether ``value`` is a finite real number (not a bool), and above 0 if ``positive``."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and math.isfinite(value) and (value > 0 or not positive)
 
 
 @dataclass(frozen=True)
@@ -61,28 +54,23 @@ class GeneratorConfig:
     noise_floor_db: float = -40.0
 
     def __post_init__(self):
-        if self.samples_per_class < 1:
-            raise ParameterError("samples_per_class must be >= 1")
-        if not (0 < self.duration_s < math.inf and 0 < self.sample_rate_hz < math.inf):
-            raise ParameterError("duration and sample rate must be positive and finite")
-        for name in ("shaft_freq_hz", "resonance_freq_hz", "resonance_decay_s"):
-            if not _finite(getattr(self, name), positive=True):
-                raise ParameterError(
-                    f"{name} must be a positive finite number, got {getattr(self, name)!r}"
-                )
-        if not _finite(self.noise_floor_db):
-            raise ParameterError(f"noise_floor_db must be a finite number, got {self.noise_floor_db!r}")
-        count = self.harmonic_count
-        if not (isinstance(count, numbers.Integral) and not isinstance(count, bool) and count >= 1):
-            raise ParameterError(f"harmonic_count must be an integer >= 1, got {count!r}")
-        for name, positive in (("impulse_rates_hz", True), ("impulse_amplitudes", False)):
+        # checks only: the fields keep the values as given, which the manifest records
+        for name in ("samples_per_class", "harmonic_count"):
+            checked(name, getattr(self, name), int, "[1, inf)")
+        checked("base_seed", self.base_seed, int)
+        for name in ("duration_s", "sample_rate_hz", "shaft_freq_hz", "resonance_freq_hz",
+                     "resonance_decay_s"):
+            checked(name, getattr(self, name), float, "(0, inf)")
+        checked("noise_floor_db", self.noise_floor_db)
+        per_class = (("impulse_rates_hz", "(0, inf)"), ("impulse_amplitudes", "(-inf, inf)"))
+        for name, interval in per_class:
             values = getattr(self, name)
-            per_class = isinstance(values, (list, tuple)) and len(values) == N_CLASSES
-            if not (per_class and all(_finite(v, positive) for v in values)):
+            if not (isinstance(values, (list, tuple)) and len(values) == N_CLASSES):
                 raise ParameterError(
-                    f"{name} must be {N_CLASSES} {'positive ' if positive else ''}finite numbers, "
-                    f"one per class, got {values!r}"
+                    f"'{name}' must be {N_CLASSES} numbers, one per class, got {values!r}"
                 )
+            for i, value in enumerate(values):
+                checked(f"{name}[{i}]", value, float, interval)
         amps = self.impulse_amplitudes
         if any(b <= a for a, b in zip(amps, amps[1:])):
             raise ParameterError("impulse amplitudes must increase strictly with severity")

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import re
@@ -42,6 +43,28 @@ TINY = {
     ],
 }
 
+ROOT = Path(__file__).resolve().parents[1]
+# reals written as integers, which a check that rewrote values would turn into floats
+INTEGRAL_REALS = {
+    "data": {
+        "source": "synthetic", "samples_per_class": 12, "duration_s": 1, "sample_rate_hz": 16000,
+    },
+    "cv": {"n_folds": 3, "holdout_fraction": 0, "validation_fraction": 0},
+    "noise": {"levels_db": []},
+    "stats": {"nemenyi_q_alpha": 3},
+    "models": [
+        {"kind": "svm", "params": {"C": 10, "gamma": 1}},
+        {"kind": "gbt", "params": {"learning_rate": 1, "lambda_l2": 0}},
+    ],
+}
+
+
+def _perfbench_config(workload: str, seed: int) -> dict:
+    found = importlib.util.spec_from_file_location("perfbench_spec", ROOT / "perfbench" / "spec.py")
+    spec = importlib.util.module_from_spec(found)
+    found.loader.exec_module(spec)
+    return spec.experiment_config(workload, seed)
+
 
 @pytest.fixture(scope="module")
 def tiny_bundle():
@@ -53,6 +76,11 @@ class TestConfig:
     def test_seed_is_mandatory(self):
         with pytest.raises(ParameterError):
             ExperimentConfig.from_dict({"data": {"source": "synthetic"}})
+
+    @pytest.mark.parametrize("seed", [2.7, "42", True], ids=["fraction", "string", "bool"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ParameterError, match=f"'seed' must be an integer, got {seed!r}"):
+            ExperimentConfig.from_dict({"seed": seed})
 
     def test_zero_models_rejected_before_any_work(self):
         with pytest.raises(ParameterError):
@@ -81,7 +109,8 @@ class TestConfig:
             ({"stats": {"nemenyi_q": 2.85}}, r"block 'stats': \['nemenyi_q'\]"),
             ({"cv": 5}, "block 'cv' must be an object"),
             ([], r"a config must be an object, got \[\]"),
-            ({"timing": {"repetitions": 2}}, "repetitions must be at least 3, got 2"),
+            ({"timing": {"repetitions": 2}},
+             r"block 'timing': 'repetitions' must be an integer >= 3, got 2"),
             (
                 {"data": {"source": "synthetic", "samples_per_clas": 2}},
                 r"block 'data': \['samples_per_clas'\]",
@@ -118,12 +147,12 @@ class TestConfig:
             ({"models": [{"kind": "ensemble", "params": {"member": []}}]},
              r"models\[0\]: .*'member'"),
             ({"models": [{"kind": "rf"}, {"kind": "knn", "params": {"k": 0}}]},
-             r"models\[1\]: k must be >= 1"),
+             r"models\[1\]: 'k' must be an integer >= 1, got 0"),
             (
                 {"models": [{"kind": "ensemble", "params": {"members": [
                     {"kind": "rf", "params": {"n_trees": 0}, "seed": 6},
                 ]}}]},
-                r"models\[0\]: n_trees must be >= 1",
+                r"models\[0\]: 'n_trees' must be an integer >= 1, got 0",
             ),
             ({"models": [{"kind": "ensemble", "params": {"members": []}}]},
              r"models\[0\]: ensemble needs at least one member"),
@@ -132,13 +161,13 @@ class TestConfig:
             ({"cv": {"n_folds": True}}, r"block 'cv': 'n_folds' must be an integer >= 2, got True"),
             ({"cv": {"n_folds": 1}}, r"block 'cv': 'n_folds' must be an integer >= 2, got 1"),
             ({"cv": {"holdout_fraction": "0.2"}},
-             r"block 'cv': 'holdout_fraction' must be a number, got '0.2'"),
+             r"block 'cv': 'holdout_fraction' must be a number in \[0, 1\), got '0.2'"),
             ({"cv": {"validation_fraction": None}},
-             r"block 'cv': 'validation_fraction' must be a number, got None"),
+             r"block 'cv': 'validation_fraction' must be a number in \[0, 1\), got None"),
             ({"cv": {"holdout_fraction": 0.2, "validation_fraction": -0.1}},
-             r"block 'cv': 'validation_fraction' must lie in \[0, 1\), got -0.1"),
+             r"block 'cv': 'validation_fraction' must be a number in \[0, 1\), got -0.1"),
             ({"cv": {"holdout_fraction": 1.0}},
-             r"block 'cv': 'holdout_fraction' must lie in \[0, 1\), got 1.0"),
+             r"block 'cv': 'holdout_fraction' must be a number in \[0, 1\), got 1.0"),
             ({"cv": {"holdout_fraction": 0.6, "validation_fraction": 0.5}},
              r"block 'cv': 'holdout_fraction' plus 'validation_fraction' must be below 1 .*"
              r"got 0.6 \+ 0.5"),
@@ -148,15 +177,16 @@ class TestConfig:
             ({"timing": {"enabled": False, "repetitions": "5"}},
              r"block 'timing': 'repetitions' must be an integer"),
             ({"stats": {"nemenyi_q_alpha": "x"}},
-             r"block 'stats': 'nemenyi_q_alpha' must be a number or null, got 'x'"),
+             r"block 'stats': 'nemenyi_q_alpha' must be a finite number > 0, got 'x'"),
             ({"noise": {"levels_db": "40"}},
              r"block 'noise': 'levels_db' must be a list of numbers \(inf for no noise\), got '40'"),
             ({"noise": {"levels_db": 40}}, r"block 'noise': 'levels_db' must be a list of numbers"),
             ({"noise": {"levels_db": [30, float("nan")]}},
-             r"block 'noise': 'levels_db' must be a list of numbers"),
+             r"block 'noise': 'levels_db\[1\]' must be a number in \(-inf, inf\], got nan"),
             ({"noise": {"levels_db": [30, -math.inf]}},
-             r"block 'noise': 'levels_db' must be a list of numbers"),
-            ({"noise": {"levels_db": [True]}}, r"block 'noise': 'levels_db' must be a list of numbers"),
+             r"block 'noise': 'levels_db\[1\]' must be a number in \(-inf, inf\], got -inf"),
+            ({"noise": {"levels_db": [True]}},
+             r"block 'noise': 'levels_db\[0\]' must be a number in \(-inf, inf\], got True"),
             ({"noise": {"levels_db": None}}, r"block 'noise': 'levels_db' must be a list of numbers"),
             ({"preprocess": ["rms"]}, r"unknown preprocess mode \['rms'\]"),
             ({"data": {"source": ["wav"]}}, r"unknown data source \['wav'\]"),
@@ -166,42 +196,73 @@ class TestConfig:
             ({"data": {"source": "wav", "directory": "d", "labels_csv": "l.csv", "permissive": 1}},
              r"block 'data': 'permissive' must be true or false, got 1"),
             ({"data": {"samples_per_class": "3"}},
-             r"block 'data': 'samples_per_class' must be an integer, got '3'"),
-            ({"data": {"duration_s": "1"}}, r"block 'data': 'duration_s' must be a number, got '1'"),
+             r"block 'data': 'samples_per_class' must be an integer >= 1, got '3'"),
+            ({"data": {"duration_s": "1"}},
+             r"block 'data': 'duration_s' must be a finite number > 0, got '1'"),
             ({"data": {"duration_s": math.nan}},
-             r"block 'data': duration and sample rate must be positive and finite"),
-            ({"data": {"samples_per_class": 0}}, r"block 'data': samples_per_class must be >= 1"),
+             r"block 'data': 'duration_s' must be a finite number > 0, got nan"),
+            ({"data": {"samples_per_class": 0}},
+             r"block 'data': 'samples_per_class' must be an integer >= 1, got 0"),
             ({"data": {"generator": [1]}}, r"block 'data': 'generator' must be an object, got \[1\]"),
             ({"data": {"generator": {"noise_floor": -20}}},
              r"block 'data': .*unexpected keyword argument 'noise_floor'"),
             ({"stats": {"nemenyi_q_alpha": -1}},
-             r"block 'stats': 'nemenyi_q_alpha' must be positive and finite, got -1"),
-            ({"stats": {"nemenyi_q_alpha": 0.0}}, r"'nemenyi_q_alpha' must be positive and finite"),
-            ({"stats": {"nemenyi_q_alpha": math.nan}}, r"'nemenyi_q_alpha' must be positive and finite"),
+             r"block 'stats': 'nemenyi_q_alpha' must be a finite number > 0, got -1"),
+            ({"stats": {"nemenyi_q_alpha": 0.0}},
+             r"block 'stats': 'nemenyi_q_alpha' must be a finite number > 0, got 0.0"),
+            ({"stats": {"nemenyi_q_alpha": math.nan}},
+             r"block 'stats': 'nemenyi_q_alpha' must be a finite number > 0, got nan"),
             ({"data": {"generator": {"noise_floor_db": "x"}}},
-             r"block 'data': noise_floor_db must be a finite number, got 'x'"),
+             r"block 'data': 'noise_floor_db' must be a finite number, got 'x'"),
             ({"data": {"generator": {"impulse_amplitudes": "abcde"}}},
-             r"block 'data': impulse_amplitudes must be 5 finite numbers, one per class, got 'abcde'"),
+             r"block 'data': 'impulse_amplitudes' must be 5 numbers, one per class, got 'abcde'"),
             ({"data": {"generator": {"impulse_amplitudes": 5}}},
-             r"block 'data': impulse_amplitudes must be 5 finite numbers, one per class, got 5"),
+             r"block 'data': 'impulse_amplitudes' must be 5 numbers, one per class, got 5"),
             ({"data": {"generator": {"harmonic_count": 2.5}}},
-             r"block 'data': harmonic_count must be an integer >= 1, got 2.5"),
+             r"block 'data': 'harmonic_count' must be an integer >= 1, got 2.5"),
             ({"data": {"generator": {"harmonic_count": -1}}},
-             r"block 'data': harmonic_count must be an integer >= 1, got -1"),
+             r"block 'data': 'harmonic_count' must be an integer >= 1, got -1"),
             ({"data": {"generator": {"impulse_rates_hz": [107, 107, 0, 107, 107]}}},
-             r"block 'data': impulse_rates_hz must be 5 positive finite numbers, one per class"),
+             r"block 'data': 'impulse_rates_hz\[2\]' must be a finite number > 0, got 0"),
             ({"data": {"generator": {"resonance_decay_s": 0}}},
-             r"block 'data': resonance_decay_s must be a positive finite number, got 0"),
+             r"block 'data': 'resonance_decay_s' must be a finite number > 0, got 0"),
             ({"data": {"generator": {"shaft_freq_hz": math.nan}}},
-             r"block 'data': shaft_freq_hz must be a positive finite number, got nan"),
+             r"block 'data': 'shaft_freq_hz' must be a finite number > 0, got nan"),
             ({"models": [{"kind": "mlp", "params": {"batch_size": 0}}]},
-             r"models\[0\]: batch_size must be >= 1, got 0"),
+             r"models\[0\]: 'batch_size' must be an integer >= 1, got 0"),
             ({"models": [{"kind": "mlp", "params": {"epochs": 0}}]},
-             r"models\[0\]: epochs must be >= 1, got 0"),
+             r"models\[0\]: 'epochs' must be an integer >= 1, got 0"),
             ({"models": [{"kind": "svm", "params": {"gamma": -1}}]},
-             r"models\[0\]: gamma must be positive and finite, or null, got -1"),
+             r"models\[0\]: 'gamma' must be a finite number > 0, got -1"),
             ({"models": [{"kind": "ensemble", "params": {"weights": [math.nan, 1, 1]}}]},
-             r"models\[0\]: weights must be finite, >= 0 and not all zero, got \[nan, 1.0, 1.0\]"),
+             r"models\[0\]: 'weights\[0\]' must be a finite number >= 0, got nan"),
+            ({"models": [{"kind": "rf", "params": {"n_trees": 2.5}}]},
+             r"models\[0\]: 'n_trees' must be an integer >= 1, got 2.5"),
+            ({"models": [{"kind": "gbt", "params": {"max_depth": "3"}}]},
+             r"models\[0\]: 'max_depth' must be an integer, got '3'"),
+            ({"models": [{"kind": "knn", "params": {"k": True}}]},
+             r"models\[0\]: 'k' must be an integer >= 1, got True"),
+            ({"models": [{"kind": "svm", "params": {"degree": 2.5}}]},
+             r"models\[0\]: 'degree' must be an integer, got 2.5"),
+            ({"models": [{"kind": "gbt", "params": {"lambda_l2": -1.0}}]},
+             r"models\[0\]: 'lambda_l2' must be a finite number >= 0, got -1.0"),
+            ({"models": [{"kind": "gbt", "params": {"gamma_split": math.nan}}]},
+             r"models\[0\]: 'gamma_split' must be a finite number, got nan"),
+            ({"models": [{"kind": "svm", "params": {"gamma": "x"}}]},
+             r"models\[0\]: 'gamma' must be a finite number > 0, got 'x'"),
+            ({"models": [{"kind": "svm", "params": {"C": "1"}}]},
+             r"models\[0\]: 'C' must be a finite number > 0, got '1'"),
+            ({"models": [{"kind": "svm", "params": {"C": math.inf}}]},
+             r"models\[0\]: 'C' must be a finite number > 0, got inf"),
+            ({"models": [{"kind": "mlp", "params": {"epochs": "5"}}]},
+             r"models\[0\]: 'epochs' must be an integer >= 1, got '5'"),
+            ({"models": [{"kind": "mlp", "params": {"hidden": [64, 2.5]}}]},
+             r"models\[0\]: 'hidden\[1\]' must be an integer >= 1, got 2.5"),
+            ({"models": [{"kind": "knn", "params": {"k": 2.5}}]},
+             r"models\[0\]: 'k' must be an integer >= 1, got 2.5"),
+            ({"models": [{"kind": "ensemble", "params": {"members": [
+                {"kind": "knn", "seed": 2.7}]}}]},
+             r"models\[0\]: 'seed' must be an integer, got 2.7"),
         ],
         ids=["cv", "noise", "timing", "stats", "not-an-object", "config-not-an-object",
              "two-repetitions",
@@ -222,7 +283,11 @@ class TestConfig:
              "nemenyi-negative", "nemenyi-zero", "nemenyi-nan",
              "noise-floor-string", "amplitudes-string", "amplitudes-number",
              "harmonics-fraction", "harmonics-negative", "rate-zero", "decay-zero", "shaft-nan",
-             "mlp-batch-zero", "mlp-epochs-zero", "svm-gamma-negative", "ensemble-weight-nan"],
+             "mlp-batch-zero", "mlp-epochs-zero", "svm-gamma-negative", "ensemble-weight-nan",
+             "rf-trees-fraction", "gbt-depth-string", "knn-k-bool", "svm-degree-fraction",
+             "gbt-lambda-negative", "gbt-gamma-split-nan", "svm-gamma-string", "svm-c-string",
+             "svm-c-inf", "mlp-epochs-string", "mlp-hidden-fraction", "knn-k-fraction",
+             "member-seed-fraction"],
     )
     def test_bad_config_block_rejected(self, raw, match):
         with pytest.raises(ParameterError, match=match):
@@ -247,6 +312,20 @@ class TestConfig:
         a = ExperimentConfig.from_dict(dict(TINY), seed=5)
         b = ExperimentConfig.from_dict(dict(TINY), seed=6)
         assert a.config_hash() != b.config_hash()
+
+    @pytest.mark.parametrize(
+        "raw, seed, expected",
+        [
+            (json.loads((ROOT / "configs" / "example.json").read_text()), None, "9f027b604aadc3b7"),
+            (_perfbench_config("bench", 1501), None, "84ed7995e057c062"),
+            ({}, 42, "cb8304b1c61467c4"),
+            (INTEGRAL_REALS, 42, "2d74482e6b684c4f"),
+        ],
+        ids=["example", "perfbench-bench", "defaults", "integral-reals"],
+    )
+    def test_config_hash_is_pinned(self, raw, seed, expected):
+        # checking a value must not rewrite it: the hash covers the values the config gives
+        assert ExperimentConfig.from_dict(raw, seed=seed).config_hash() == expected
 
     def test_defaults_come_from_the_dataclass(self):
         assert ExperimentConfig.from_dict({}, seed=1) == ExperimentConfig(seed=1)
@@ -350,7 +429,7 @@ class TestBadConfigCli:
             ({"data": {**TINY["data"], "generator": {"noise_floor": -20}}},
              "error [cli] config block 'data': "),
             ({"stats": {"nemenyi_q_alpha": -1}},
-             "error [cli] config block 'stats': 'nemenyi_q_alpha' must be positive"),
+             "error [cli] config block 'stats': 'nemenyi_q_alpha' must be a finite number > 0"),
             ({"cv": {"n_folds": 3, "holdout_fraction": 0.04}},
              "error [cv] 'holdout_fraction' 0.04 of at most 12 clips per class rounds to a "
              "hold-out of 0 clips"),

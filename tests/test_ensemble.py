@@ -58,7 +58,7 @@ class TestEnsemblePredictProba:
     def test_non_finite_weight_rejected(self, bad):
         # NaN fails both `w < 0` and `w > 0`, so a sign test alone lets it through
         members = [FixedModel([0.6, 0.4]), FixedModel([0.2, 0.8])]
-        with pytest.raises(ParameterError, match="weights must be finite"):
+        with pytest.raises(ParameterError, match=r"'weights\[0\]' must be a finite number >= 0"):
             ensemble_predict_proba(members, [bad, 1.0], np.zeros((1, 2)))
 
     def test_output_renormalized(self):
