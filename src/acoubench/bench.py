@@ -41,7 +41,13 @@ from .evaluation import (
 from .features import extract_matrix
 from .models import ModelSpec, measure_timing, resolved_params
 from .registry import REGISTRY, REGISTRY_VERSION
-from .synth import GeneratorConfig, add_noise_at_snr, generate_dataset, robustness_index
+from .synth import (
+    GeneratorConfig,
+    add_noise_at_snr,
+    generate_clips,
+    generate_dataset,
+    robustness_index,
+)
 from .wavio import read_wav
 
 DEFAULT_MODEL_ROSTER = (
@@ -165,7 +171,13 @@ class ExperimentConfig:
                     f"config block 'data': {key!r} must be {expected}, got {self.data[key]!r}"
                 )
         if source == "synthetic":
-            self.generator_config()
+            generator = self.generator_config()
+            window = default_window_size(generator.sample_rate_hz)
+            if generator.n_samples < window:
+                raise ParameterError(
+                    f"config block 'data': 'duration_s' {generator.duration_s!r} gives clips of "
+                    f"{generator.n_samples} samples, shorter than one {window}-sample analysis window"
+                )
         if not isinstance(self.preprocess, str) or self.preprocess not in _PREPROCESS:
             raise ParameterError(f"unknown preprocess mode {self.preprocess!r}")
         # checked, not rewritten: config_hash hashes each value as the config gives it
@@ -307,22 +319,25 @@ def _unusable_reason(signal) -> str | None:
     return None
 
 
-def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
-    """WAV directory + labels CSV -> Dataset of checked signals, no features yet.
+def load_corpus(directory, labels_csv, permissive: bool = False, featurize=None) -> Dataset:
+    """WAV directory + labels CSV -> Dataset of the listed clips' features, in one pass.
 
-    The CSV needs 'filename' and 'label' columns. A missing file, a file
-    ``read_wav`` rejects, a clip shorter than the analysis window and an
-    all-zero clip abort the load unless ``permissive`` is set, in which
-    case they are skipped and listed with their reasons in
-    ``provenance["skipped"]``. Files at different sample rates and a file
-    listed twice are always rejected.
+    The CSV needs 'filename' and 'label' columns. Each listed file is read
+    once, checked, added to the corpus digest and handed to ``featurize``
+    as the next clip of a stream; ``featurize`` turns that stream into the
+    feature matrix, :func:`extract_matrix` unless a run normalizes each
+    clip first. Only one waveform is held at a time: the dataset keeps
+    each loaded clip's file name, not its samples.
+    A missing file, a file ``read_wav`` rejects, a clip shorter than the
+    analysis window and an all-zero clip abort the load unless
+    ``permissive`` is set, in which case they are skipped and listed with
+    their reasons in ``provenance["skipped"]``. Files at different sample
+    rates and a file listed twice are always rejected.
     ``provenance["corpus_sha256"]`` is the SHA-256 over each loaded clip's
     filename, label and file bytes, in load order (per clip its filename,
     label and byte count, each ending in a newline, then its bytes): the
     same clips give the same digest wherever the corpus lies, and a
     changed byte another.
-    Extraction is the caller's: the features stage of a run, or
-    ``acoubench extract``, featurizes each clip once.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -338,66 +353,71 @@ def load_corpus(directory, labels_csv, permissive: bool = False) -> Dataset:
     if not rows:
         raise ParameterError(f"{labels_path}: no data rows")
 
-    signals, raw_labels, skipped = [], [], {}
+    filenames, raw_labels, skipped = [], [], {}
     digest = hashlib.sha256()
-    file_at_rate = {}
-    listed_label = {}
-    for row in rows:
-        try:
-            label = int(row["label"])
-        except (TypeError, ValueError):  # TypeError: the row has no label cell
-            raise ParameterError(
-                f"{labels_path}: label of {row['filename']} must be an integer, got {row['label']!r}"
-            ) from None
-        if row["filename"] in listed_label:
-            raise ParameterError(
-                f"{labels_path}: {row['filename']} is listed twice, with labels "
-                f"{listed_label[row['filename']]} and {label}"
-            )
-        listed_label[row["filename"]] = label
-        path = directory / row["filename"]
-        if not path.is_file():
-            if permissive:
-                skipped[row["filename"]] = "missing"
-                continue
-            raise ParameterError(f"listed file missing: {path}")
-        try:
-            signal = read_wav(path)
-        except UnsupportedWavError as exc:
-            if permissive:  # a reason names no path, as the other skip reasons do
-                skipped[row["filename"]] = str(exc).removeprefix(f"{path}: ")
-                continue
-            raise
-        rate = signal.sample_rate_hz
-        file_at_rate.setdefault(rate, row["filename"])
-        if len(file_at_rate) > 1:
-            (r1, f1), (r2, f2) = list(file_at_rate.items())
-            raise ParameterError(
-                f"corpus mixes sample rates: {r1:g} Hz ({f1}) and {r2:g} Hz ({f2})"
-            )
-        reason = _unusable_reason(signal)
-        if reason is not None:
-            if permissive:
-                skipped[row["filename"]] = reason
-                continue
-            raise ParameterError(f"{path}: {reason}")
-        signals.append(signal)
-        raw_labels.append(label)
-        data = path.read_bytes()
-        digest.update(f"{row['filename']}\n{label}\n{len(data)}\n".encode("utf-8"))
-        digest.update(data)
-    if skipped:
-        listed = "; ".join(f"{name} ({why})" for name, why in list(skipped.items())[:5])
-        warnings.warn(f"skipped {len(skipped)} files: {listed}")
-    if not signals:
-        raise ParameterError("no loadable samples in corpus")
 
+    def checked_clips():
+        file_at_rate = {}
+        listed_label = {}
+        for row in rows:
+            try:
+                label = int(row["label"])
+            except (TypeError, ValueError):  # TypeError: the row has no label cell
+                raise ParameterError(
+                    f"{labels_path}: label of {row['filename']} must be an integer, got {row['label']!r}"
+                ) from None
+            if row["filename"] in listed_label:
+                raise ParameterError(
+                    f"{labels_path}: {row['filename']} is listed twice, with labels "
+                    f"{listed_label[row['filename']]} and {label}"
+                )
+            listed_label[row["filename"]] = label
+            path = directory / row["filename"]
+            if not path.is_file():
+                if permissive:
+                    skipped[row["filename"]] = "missing"
+                    continue
+                raise ParameterError(f"listed file missing: {path}")
+            try:
+                signal = read_wav(path)
+            except UnsupportedWavError as exc:
+                if permissive:  # a reason names no path, as the other skip reasons do
+                    skipped[row["filename"]] = str(exc).removeprefix(f"{path}: ")
+                    continue
+                raise
+            rate = signal.sample_rate_hz
+            file_at_rate.setdefault(rate, row["filename"])
+            if len(file_at_rate) > 1:
+                (r1, f1), (r2, f2) = list(file_at_rate.items())
+                raise ParameterError(
+                    f"corpus mixes sample rates: {r1:g} Hz ({f1}) and {r2:g} Hz ({f2})"
+                )
+            reason = _unusable_reason(signal)
+            if reason is not None:
+                if permissive:
+                    skipped[row["filename"]] = reason
+                    continue
+                raise ParameterError(f"{path}: {reason}")
+            filenames.append(row["filename"])
+            raw_labels.append(label)
+            data = path.read_bytes()
+            digest.update(f"{row['filename']}\n{label}\n{len(data)}\n".encode("utf-8"))
+            digest.update(data)
+            yield signal
+        if skipped:
+            listed = "; ".join(f"{name} ({why})" for name, why in list(skipped.items())[:5])
+            warnings.warn(f"skipped {len(skipped)} files: {listed}")
+        if not filenames:
+            raise ParameterError("no loadable samples in corpus")
+
+    features = (featurize or extract_matrix)(checked_clips())
     classes = sorted(set(raw_labels))
     dense = {c: i for i, c in enumerate(classes)}
     labels = np.array([dense[c] for c in raw_labels])
     return Dataset(
         labels=labels,
-        signals=signals,
+        features=features,
+        filenames=filenames,
         provenance={
             "source": "wav",
             "directory": str(directory),
@@ -426,19 +446,33 @@ def _stage(name):
     return _StageGuard()
 
 
-def _build_dataset(cfg: ExperimentConfig) -> Dataset:
-    if cfg.data.get("source", "synthetic") == "synthetic":
-        return generate_dataset(cfg.generator_config())
-    return load_corpus(
-        cfg.data["directory"],
-        cfg.data["labels_csv"],
-        permissive=cfg.data.get("permissive", False),
-    )
+def _featurize(cfg: ExperimentConfig, clips) -> np.ndarray:
+    """Feature matrix of ``clips``, each normalized as the config's ``preprocess`` says.
+
+    The clips are pulled one at a time and only each one's feature row is
+    kept. Making or reading a clip is the data stage's work and extracting
+    it the features stage's, so a failure is tagged with the stage it
+    happened in.
+    """
+    def pulled():
+        clips_left = iter(clips)
+        while True:
+            with _stage("data"):
+                clip = next(clips_left, None)
+            if clip is None:
+                return
+            yield _PREPROCESS[cfg.preprocess](clip)
+
+    with _stage("features"):
+        return extract_matrix(pulled())
 
 
-def _featurize(cfg: ExperimentConfig, signals) -> np.ndarray:
-    """Feature matrix of ``signals`` after the config's ``preprocess`` normalization."""
-    return extract_matrix([_PREPROCESS[cfg.preprocess](s) for s in signals])
+def _source_clips(cfg: ExperimentConfig, dataset: Dataset, indices):
+    """Clips ``indices`` of the corpus, one at a time, made or read again from their source."""
+    if dataset.seeds is not None:
+        return generate_clips(cfg.generator_config(), dataset.labels[indices], dataset.seeds[indices])
+    directory = Path(dataset.provenance["directory"])
+    return (read_wav(directory / dataset.filenames[i]) for i in indices)
 
 
 def _fold_metrics(y_true, y_pred, probs, n_classes) -> tuple:
@@ -453,11 +487,25 @@ def _macro_f1(y_true, y_pred, n_classes) -> float:
 
 
 def _prepare(cfg: ExperimentConfig):
-    """The data, features and cv stages; returns (featurized dataset, each sample's fold id)."""
+    """The data, features and cv stages; returns (featurized dataset, each sample's fold id).
+
+    A WAV corpus is read, checked and extracted in one pass over its files.
+    A synthetic corpus is indexed first, and each clip is generated as the
+    features stage gets to it.
+    """
     with _stage("data"):
-        dataset = _build_dataset(cfg)
-    with _stage("features"):
-        dataset = dataset.with_features(_featurize(cfg, dataset.signals))
+        if cfg.data.get("source", "synthetic") == "synthetic":
+            dataset = generate_dataset(cfg.generator_config())
+        else:
+            dataset = load_corpus(
+                cfg.data["directory"],
+                cfg.data["labels_csv"],
+                permissive=cfg.data.get("permissive", False),
+                featurize=lambda clips: _featurize(cfg, clips),
+            )
+    if dataset.features is None:
+        clips = _source_clips(cfg, dataset, np.arange(len(dataset)))
+        dataset = dataset.with_features(_featurize(cfg, clips))
     with _stage("cv"):
         folds = stratified_kfold(
             dataset.labels,
@@ -629,26 +677,35 @@ def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
 
 
 def _noise_sweep(cfg, dataset, folds, scaler, final_models):
-    """Evaluate clean-trained models on noise-injected hold-out signals."""
+    """Evaluate clean-trained models on noise-injected hold-out signals.
+
+    Each hold-out clip is made or read again from its source once, and its
+    noisy copy at every level extracted before the next clip is fetched.
+    """
     hold_idx = np.flatnonzero(folds == HOLDOUT)
     y_hold = dataset.labels[hold_idx]
     conditions = [math.inf] + list(cfg.noise_levels_db)
-    table = {name: [] for name in final_models}
-    for level_index, level in enumerate(conditions):
-        if level == math.inf:  # no noise: the features stage already extracted these clips
-            feats = scaler.transform(dataset.features[hold_idx])
-        else:
-            noisy = [
+    # [conditions, hold-out, features]; with no noise the features stage already extracted the clips
+    feats = np.repeat(dataset.features[hold_idx][None], len(conditions), axis=0)
+    noisy = [k for k, level in enumerate(conditions) if level != math.inf]
+    preprocess = _PREPROCESS[cfg.preprocess]
+    clips = _source_clips(cfg, dataset, hold_idx) if noisy else ()
+    for j, (i, clip) in enumerate(zip(hold_idx, clips)):
+        feats[noisy, j] = extract_matrix(
+            preprocess(
                 add_noise_at_snr(
-                    dataset.signals[i],
-                    level,
-                    seed=cfg.seed + _NOISE_SEED_OFFSET + level_index * len(dataset) + int(i),
+                    clip,
+                    conditions[k],
+                    seed=cfg.seed + _NOISE_SEED_OFFSET + k * len(dataset) + int(i),
                 )
-                for i in hold_idx
-            ]
-            feats = scaler.transform(_featurize(cfg, noisy))
+            )
+            for k in noisy
+        )
+    table = {name: [] for name in final_models}
+    for condition_feats in feats:
+        X = scaler.transform(condition_feats)
         for name, model in final_models.items():
-            table[name].append(_macro_f1(y_hold, model.predict(feats), dataset.n_classes))
+            table[name].append(_macro_f1(y_hold, model.predict(X), dataset.n_classes))
     return table, conditions
 
 

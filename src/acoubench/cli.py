@@ -29,9 +29,9 @@ from .bench import (
     write_csv,
 )
 from .errors import AcoubenchError, ParameterError, PipelineStageError
-from .features import extract_matrix, save_feature_csv
+from .features import save_feature_csv
 from .registry import save_registry_csv
-from .synth import FaultClass, GeneratorConfig, generate_dataset
+from .synth import FaultClass, GeneratorConfig, generate_clips, generate_dataset
 from .wavio import write_wav
 
 
@@ -52,11 +52,15 @@ def _cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dataset = generate_dataset(cfg)
     # one gain for the whole corpus: keeps 16-bit samples from clipping
-    # while preserving the relative amplitudes between classes
-    peak = max(float(abs(s.samples).max()) for s in dataset.signals)
+    # while preserving the relative amplitudes between classes. The corpus
+    # peak takes a first pass over the clips; the second pass writes them,
+    # so no more than one clip is held at a time.
+    peak = max(
+        float(abs(s.samples).max()) for s in generate_clips(cfg, dataset.labels, dataset.seeds)
+    )
     gain = 0.99 / peak if peak > 0.99 else 1.0
     rows = [["filename", "label", "seed"]]
-    for i, signal in enumerate(dataset.signals):
+    for i, signal in enumerate(generate_clips(cfg, dataset.labels, dataset.seeds)):
         label = int(dataset.labels[i])
         name = f"{FaultClass(label).name.lower()}_{i % cfg.samples_per_class:04d}.wav"
         write_wav(out / name, signal.replace_samples(signal.samples * gain))
@@ -70,10 +74,9 @@ def _cmd_extract(args) -> int:
     from .bench import load_corpus
 
     dataset = load_corpus(args.wav_dir, args.labels, permissive=args.permissive)
-    features = extract_matrix(dataset.signals)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_feature_csv(out, features, labels=dataset.labels)
+    save_feature_csv(out, dataset.features, labels=dataset.labels)
     registry_path = out.with_name("registry.csv")
     save_registry_csv(registry_path)
     print(f"wrote {len(dataset)} feature rows to {out} (registry: {registry_path})")

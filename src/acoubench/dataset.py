@@ -11,17 +11,19 @@ from .errors import ParameterError
 
 @dataclass
 class Dataset:
-    """Feature matrix plus labels and provenance.
+    """Labels, feature matrix, where each clip comes from, and provenance.
 
-    ``features`` may be None for a freshly generated corpus whose
-    signals have not been run through the extractor yet; ``signals``
-    holds the raw waveforms when they are retained.
+    A dataset holds no waveforms. Each clip is known by its generator
+    seed (``seeds``, a synthetic corpus) or by its file name within
+    ``provenance["directory"]`` (``filenames``, a WAV corpus), so a clip
+    can be made or read again when it is needed. ``features`` is None for
+    a synthetic corpus index whose clips have not been extracted yet.
     """
 
     labels: np.ndarray
     features: np.ndarray | None = None
-    signals: list | None = None
     seeds: np.ndarray | None = None
+    filenames: list | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -32,8 +34,9 @@ class Dataset:
             self.features = np.asarray(self.features, dtype=float)
             if self.features.shape[0] != len(self.labels):
                 raise ParameterError("feature rows must match label count")
-        if self.signals is not None and len(self.signals) != len(self.labels):
-            raise ParameterError("signal count must match label count")
+        for name in ("seeds", "filenames"):
+            if getattr(self, name) is not None and len(getattr(self, name)) != len(self.labels):
+                raise ParameterError(f"{name} must match label count")
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -33,23 +33,27 @@ def _safe_div(num, den):
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
-def spectral_shape(power, freqs):
+def spectral_shape(power, freqs, moments: int = 4):
     """Centroid, bandwidth, skewness and kurtosis of the power-weighted frequencies.
 
     Along the last axis; each is 0 where the power is all zero, and the
-    skewness and kurtosis also where the bandwidth is 0. The time group
-    passes amplitudes and sample times for the temporal shape.
+    skewness and kurtosis also where the bandwidth is 0. With
+    ``moments=2`` only the centroid and bandwidth are computed and
+    returned. The time group passes amplitudes and sample times for the
+    temporal shape.
     """
     total = power.sum(axis=-1)
     centroid = _safe_div((power * freqs).sum(axis=-1), total)
     dev = freqs - centroid[..., None]
     weighted = power * (dev * dev)
     var = _safe_div(weighted.sum(axis=-1), total)
+    bandwidth = np.sqrt(var)
+    if moments == 2:
+        return centroid, bandwidth
     weighted *= dev
     m3 = _safe_div(weighted.sum(axis=-1), total)
     weighted *= dev
     m4 = _safe_div(weighted.sum(axis=-1), total)
-    bandwidth = np.sqrt(var)
     return centroid, bandwidth, _safe_div(m3, bandwidth ** 3), _safe_div(m4, var ** 2)
 
 
@@ -308,7 +312,7 @@ def timefreq_features(x: AudioSignal, sgram: tuple[np.ndarray, np.ndarray]) -> n
     """The 47 time-frequency values; ``sgram`` is :func:`spectrogram` of ``x``."""
     power, freqs = sgram
 
-    centroid, bandwidth, _, _ = spectral_shape(power, freqs)
+    centroid, bandwidth = spectral_shape(power, freqs, moments=2)
     values: list[float] = []
     values += _traj_stats(centroid)
     values += _traj_stats(bandwidth)
@@ -387,7 +391,9 @@ def extract_all(x: AudioSignal) -> np.ndarray:
 def extract_matrix(signals) -> np.ndarray:
     """Feature matrix [n_signals, 127]; rows follow input order.
 
-    Raises ``ParameterError`` unless every row has 127 finite values.
+    ``signals`` may be any iterable, a generator too: each signal is
+    extracted as it arrives and only its row is kept. Raises
+    ``ParameterError`` unless every row has 127 finite values.
     """
     matrix = np.vstack([extract_all(sig) for sig in signals])
     if matrix.shape[1] != FEATURE_COUNT:

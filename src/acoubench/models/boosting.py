@@ -72,7 +72,7 @@ class GradientBoostedTrees(Classifier):
         super().__init__(seed=seed)
         self.n_rounds = checked("n_rounds", n_rounds, int, "[1, inf)")
         self.learning_rate = checked("learning_rate", learning_rate, float, "(0, 1]")
-        self.max_depth = checked("max_depth", max_depth, int)
+        self.max_depth = checked("max_depth", max_depth, int, "[1, inf)")
         self.gamma_split = checked("gamma_split", gamma_split)
         self.lambda_l2 = checked("lambda_l2", lambda_l2, float, "[0, inf)")
 

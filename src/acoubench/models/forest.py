@@ -86,7 +86,7 @@ class RandomForestClassifier(Classifier):
                  min_samples_split: int = 2, seed: int = 0):
         super().__init__(seed=seed)
         self.n_trees = checked("n_trees", n_trees, int, "[1, inf)")
-        self.max_depth = checked("max_depth", max_depth, int)
+        self.max_depth = checked("max_depth", max_depth, int, "[1, inf)")
         self.min_samples_split = checked("min_samples_split", min_samples_split, int)
 
     def _fit(self, X, y):

@@ -143,7 +143,7 @@ class SVMClassifier(Classifier):
         self.C = checked("C", C, float, "(0, inf)")
         self.gamma = None if gamma is None else checked("gamma", gamma, float, "(0, inf)")
         self.coef0 = checked("coef0", coef0)
-        self.degree = checked("degree", degree, int)
+        self.degree = checked("degree", degree, int, "[1, inf)")
         self.tol = checked("tol", tol)
 
     def _resolved_gamma(self, X) -> float:

@@ -133,19 +133,16 @@ def sample_seed(cfg: GeneratorConfig, cls: FaultClass, index: int) -> int:
 
 
 def generate_dataset(cfg: GeneratorConfig) -> Dataset:
-    """Balanced corpus, labels grouped by class, signals retained."""
-    signals = []
-    labels = []
-    seeds = []
-    for cls in FaultClass:
-        for i in range(cfg.samples_per_class):
-            seed = sample_seed(cfg, cls, i)
-            signals.append(generate_sample(cls, seed, cfg))
-            labels.append(int(cls))
-            seeds.append(seed)
+    """Index of the balanced corpus: labels grouped by class, each clip's seed, provenance.
+
+    No clip is generated here; clip ``i`` is
+    ``generate_sample(FaultClass(labels[i]), seeds[i], cfg)``, made when
+    it is needed.
+    """
+    labels = np.repeat(np.arange(N_CLASSES), cfg.samples_per_class)
+    seeds = [sample_seed(cfg, cls, i) for cls in FaultClass for i in range(cfg.samples_per_class)]
     return Dataset(
-        labels=np.array(labels),
-        signals=signals,
+        labels=labels,
         seeds=np.array(seeds),
         provenance={
             "source": "synthetic",
@@ -155,6 +152,11 @@ def generate_dataset(cfg: GeneratorConfig) -> Dataset:
             "base_seed": cfg.base_seed,
         },
     )
+
+
+def generate_clips(cfg: GeneratorConfig, labels, seeds):
+    """The clips of a corpus index (or a part of it), generated one at a time, in order."""
+    return (generate_sample(int(cls), int(seed), cfg) for cls, seed in zip(labels, seeds))
 
 
 def add_noise_at_snr(x: AudioSignal, snr_db: float, seed: int) -> AudioSignal:

@@ -30,7 +30,7 @@ from acoubench.cli import main as cli_main
 from acoubench.errors import ParameterError, PipelineStageError, UnsupportedWavError
 from acoubench.models import Classifier
 from acoubench.synth import FaultClass, GeneratorConfig, generate_sample, robustness_index
-from acoubench.wavio import write_wav
+from acoubench.wavio import read_wav, write_wav
 
 TINY = {
     "data": {"source": "synthetic", "samples_per_class": 12},
@@ -239,11 +239,11 @@ class TestConfig:
             ({"models": [{"kind": "rf", "params": {"n_trees": 2.5}}]},
              r"models\[0\]: 'n_trees' must be an integer >= 1, got 2.5"),
             ({"models": [{"kind": "gbt", "params": {"max_depth": "3"}}]},
-             r"models\[0\]: 'max_depth' must be an integer, got '3'"),
+             r"models\[0\]: 'max_depth' must be an integer >= 1, got '3'"),
             ({"models": [{"kind": "knn", "params": {"k": True}}]},
              r"models\[0\]: 'k' must be an integer >= 1, got True"),
             ({"models": [{"kind": "svm", "params": {"degree": 2.5}}]},
-             r"models\[0\]: 'degree' must be an integer, got 2.5"),
+             r"models\[0\]: 'degree' must be an integer >= 1, got 2.5"),
             ({"models": [{"kind": "gbt", "params": {"lambda_l2": -1.0}}]},
              r"models\[0\]: 'lambda_l2' must be a finite number >= 0, got -1.0"),
             ({"models": [{"kind": "gbt", "params": {"gamma_split": math.nan}}]},
@@ -263,6 +263,15 @@ class TestConfig:
             ({"models": [{"kind": "ensemble", "params": {"members": [
                 {"kind": "knn", "seed": 2.7}]}}]},
              r"models\[0\]: 'seed' must be an integer, got 2.7"),
+            ({"models": [{"kind": "rf", "params": {"max_depth": 0}}]},
+             r"models\[0\]: 'max_depth' must be an integer >= 1, got 0"),
+            ({"models": [{"kind": "gbt", "params": {"max_depth": 0}}]},
+             r"models\[0\]: 'max_depth' must be an integer >= 1, got 0"),
+            ({"models": [{"kind": "svm", "params": {"degree": 0}}]},
+             r"models\[0\]: 'degree' must be an integer >= 1, got 0"),
+            ({"data": {"samples_per_class": 12, "duration_s": 0.01}},
+             r"block 'data': 'duration_s' 0.01 gives clips of 160 samples, shorter than one "
+             r"512-sample analysis window"),
         ],
         ids=["cv", "noise", "timing", "stats", "not-an-object", "config-not-an-object",
              "two-repetitions",
@@ -287,7 +296,8 @@ class TestConfig:
              "rf-trees-fraction", "gbt-depth-string", "knn-k-bool", "svm-degree-fraction",
              "gbt-lambda-negative", "gbt-gamma-split-nan", "svm-gamma-string", "svm-c-string",
              "svm-c-inf", "mlp-epochs-string", "mlp-hidden-fraction", "knn-k-fraction",
-             "member-seed-fraction"],
+             "member-seed-fraction", "rf-depth-zero", "gbt-depth-zero", "svm-degree-zero",
+             "clip-shorter-than-window"],
     )
     def test_bad_config_block_rejected(self, raw, match):
         with pytest.raises(ParameterError, match=match):
@@ -608,9 +618,12 @@ class TestLoadCorpus:
         wav_dir, labels = corpus
         ds = load_corpus(wav_dir, labels)
         assert len(ds) == 3
-        # loading reads and checks the clips; the features stage extracts them
-        assert ds.features is None
-        assert [len(sig) for sig in ds.signals] == [8000] * 3
+        # loading reads, checks and extracts each clip; the dataset keeps its
+        # file name and feature row, not its samples
+        assert ds.filenames == ["sample_0.wav", "sample_2.wav", "sample_4.wav"]
+        clips = [read_wav(wav_dir / name) for name in ds.filenames]
+        assert [len(sig) for sig in clips] == [8000] * 3
+        np.testing.assert_array_equal(ds.features, features.extract_matrix(clips))
         np.testing.assert_array_equal(ds.labels, [0, 1, 2])  # densified
 
     def test_each_clip_is_extracted_once(self, tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from acoubench.synth import (
     FaultClass,
     GeneratorConfig,
     add_noise_at_snr,
+    generate_clips,
     generate_dataset,
     generate_sample,
     robustness_index,
@@ -107,8 +108,16 @@ class TestGenerateDataset:
         cfg = GeneratorConfig(samples_per_class=2, base_seed=55)
         a = generate_dataset(cfg)
         b = generate_dataset(cfg)
-        for sa, sb in zip(a.signals, b.signals):
+        np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_array_equal(a.seeds, b.seeds)
+        clips_a = list(generate_clips(cfg, a.labels, a.seeds))
+        clips_b = list(generate_clips(cfg, b.labels, b.seeds))
+        assert len(clips_a) == len(a) == 10
+        for sa, sb, cls, seed in zip(clips_a, clips_b, a.labels, a.seeds):
             np.testing.assert_array_equal(sa.samples, sb.samples)
+            # a clip is its class, seed and config: it regenerates bit-identically
+            again = generate_sample(FaultClass(cls), int(seed), cfg)
+            np.testing.assert_array_equal(again.samples, sa.samples)
 
 
 class TestNoiseInjection:

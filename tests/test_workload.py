@@ -14,6 +14,7 @@ import pytest
 
 from acoubench.bench import ExperimentConfig, load_corpus
 from acoubench.cli import build_parser
+from acoubench.registry import FEATURE_COUNT
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEED = 201
@@ -33,7 +34,9 @@ def test_extract_set_up_writes_a_corpus_that_loads(workload, tmp_path):
     args = build_parser().parse_args(argv)
     dataset = load_corpus(args.wav_dir, args.labels)
     clips = workload.spec.extract_corpus(SEED)
-    assert len(dataset.signals) == len(clips)
+    assert len(dataset) == len(clips)
+    assert dataset.filenames == [name for name, _, _, _ in clips]
+    assert dataset.features.shape == (len(clips), FEATURE_COUNT)
     assert dataset.labels.tolist() == [cls for _, cls, _, _ in clips]
 
 
