@@ -1,65 +1,45 @@
-"""Waveform representation and preprocessing.
+"""Waveform preprocessing over plain arrays.
 
-Holds the core ``AudioSignal`` type, the two normalizations a run can
-apply before extraction (peak amplitude and RMS), and the framing and
-Hann window the spectral analysis in :mod:`acoubench.dsp` is built on.
-All functions are pure; signals are immutable.
+A clip is a 1-D float array of samples; a function takes the sample rate
+as an argument only where it needs one. ``AudioSignal`` is the
+``(samples, sample_rate_hz)`` pair the clip sources (``read_wav``,
+``generate_sample``) return, so a clip unpacks straight into
+``extract_all(*clip)``. It checks, copies and locks nothing: clips are
+checked where they enter, by those sources and by ``extract_all``. Also
+here: the two normalizations a run can apply before extraction (peak
+amplitude and RMS), and the framing and Hann window the spectral
+analysis in :mod:`acoubench.dsp` is built on. No function writes to its
+input.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateSignalError, ParameterError
 
 
-def _as_locked_array(samples) -> np.ndarray:
-    arr = np.array(samples, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class AudioSignal:
-    """Uniformly sampled mono waveform with its sample rate in Hz."""
+class AudioSignal(NamedTuple):
+    """A clip as its source returns it: mono samples and their rate in Hz."""
 
     samples: np.ndarray
     sample_rate_hz: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _as_locked_array(self.samples))
-        if self.samples.ndim != 1 or len(self.samples) == 0:
-            raise ParameterError("samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(self.samples)):
-            raise ParameterError("samples must all be finite")
-        if not self.sample_rate_hz > 0:
-            raise ParameterError("sample_rate_hz must be positive")
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
-    def replace_samples(self, samples) -> "AudioSignal":
-        return AudioSignal(samples=samples, sample_rate_hz=self.sample_rate_hz)
-
-
-def frame_signal(x: AudioSignal, window_size: int, hop: int) -> np.ndarray:
+def frame_signal(samples: np.ndarray, window_size: int, hop: int) -> np.ndarray:
     """Frames starting every ``hop`` samples, [frames, window_size]; no padding is applied.
 
     A read-only strided view of the samples: frames that overlap share memory.
     """
-    n = len(x.samples)
+    n = len(samples)
     if not (0 < hop <= window_size):
         raise ParameterError(f"need 0 < hop <= window_size, got hop={hop}, window={window_size}")
     if window_size > n:
         raise ParameterError(f"window of {window_size} samples longer than signal of {n}")
-    return np.lib.stride_tricks.sliding_window_view(x.samples, window_size)[::hop]
+    return np.lib.stride_tricks.sliding_window_view(samples, window_size)[::hop]
 
 
 @functools.lru_cache(maxsize=32)
@@ -70,17 +50,17 @@ def hann_window(window_size: int) -> np.ndarray:
     return w
 
 
-def normalize_amplitude(x: AudioSignal) -> AudioSignal:
+def normalize_amplitude(samples: np.ndarray) -> np.ndarray:
     """Scale so the maximum absolute sample is exactly 1."""
-    peak = np.max(np.abs(x.samples))
+    peak = np.max(np.abs(samples))
     if peak == 0:
         raise DegenerateSignalError("cannot amplitude-normalize an all-zero signal")
-    return x.replace_samples(x.samples / peak)
+    return samples / peak
 
 
-def normalize_rms(x: AudioSignal) -> AudioSignal:
+def normalize_rms(samples: np.ndarray) -> np.ndarray:
     """Scale so the root-mean-square value is exactly 1."""
-    rms = np.sqrt(np.mean(x.samples ** 2))
+    rms = np.sqrt(np.mean(samples ** 2))
     if rms == 0:
         raise DegenerateSignalError("cannot RMS-normalize an all-zero signal")
-    return x.replace_samples(x.samples / rms)
+    return samples / rms

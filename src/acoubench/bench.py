@@ -309,12 +309,12 @@ class ReportBundle:
 # corpus loading
 # ---------------------------------------------------------------------------
 
-def _unusable_reason(signal) -> str | None:
+def _unusable_reason(samples, sample_rate_hz) -> str | None:
     """Why a clip cannot be featurized, or None when it can."""
-    window = default_window_size(signal.sample_rate_hz)
-    if len(signal) < window:
-        return f"{len(signal)} samples, shorter than one {window}-sample analysis window"
-    if not np.any(signal.samples):
+    window = default_window_size(sample_rate_hz)
+    if len(samples) < window:
+        return f"{len(samples)} samples, shorter than one {window}-sample analysis window"
+    if not np.any(samples):
         return "silent: every sample is zero"
     return None
 
@@ -392,7 +392,7 @@ def load_corpus(directory, labels_csv, permissive: bool = False, featurize=None)
                 raise ParameterError(
                     f"corpus mixes sample rates: {r1:g} Hz ({f1}) and {r2:g} Hz ({f2})"
                 )
-            reason = _unusable_reason(signal)
+            reason = _unusable_reason(*signal)
             if reason is not None:
                 if permissive:
                     skipped[row["filename"]] = reason
@@ -461,7 +461,8 @@ def _featurize(cfg: ExperimentConfig, clips) -> np.ndarray:
                 clip = next(clips_left, None)
             if clip is None:
                 return
-            yield _PREPROCESS[cfg.preprocess](clip)
+            samples, rate = clip
+            yield _PREPROCESS[cfg.preprocess](samples), rate
 
     with _stage("features"):
         return extract_matrix(pulled())
@@ -690,15 +691,10 @@ def _noise_sweep(cfg, dataset, folds, scaler, final_models):
     noisy = [k for k, level in enumerate(conditions) if level != math.inf]
     preprocess = _PREPROCESS[cfg.preprocess]
     clips = _source_clips(cfg, dataset, hold_idx) if noisy else ()
-    for j, (i, clip) in enumerate(zip(hold_idx, clips)):
+    for j, (i, (samples, rate)) in enumerate(zip(hold_idx, clips)):
+        seed = cfg.seed + _NOISE_SEED_OFFSET + int(i)  # level k adds k * len(dataset)
         feats[noisy, j] = extract_matrix(
-            preprocess(
-                add_noise_at_snr(
-                    clip,
-                    conditions[k],
-                    seed=cfg.seed + _NOISE_SEED_OFFSET + k * len(dataset) + int(i),
-                )
-            )
+            (preprocess(add_noise_at_snr(samples, conditions[k], seed + k * len(dataset))), rate)
             for k in noisy
         )
     table = {name: [] for name in final_models}

@@ -17,6 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .audio import AudioSignal
 from .bench import (
     ExperimentConfig,
     friedman_rows,
@@ -55,15 +56,14 @@ def _cmd_synth(args) -> int:
     # while preserving the relative amplitudes between classes. The corpus
     # peak takes a first pass over the clips; the second pass writes them,
     # so no more than one clip is held at a time.
-    peak = max(
-        float(abs(s.samples).max()) for s in generate_clips(cfg, dataset.labels, dataset.seeds)
-    )
+    clips = generate_clips(cfg, dataset.labels, dataset.seeds)
+    peak = max(float(abs(samples).max()) for samples, _ in clips)
     gain = 0.99 / peak if peak > 0.99 else 1.0
     rows = [["filename", "label", "seed"]]
-    for i, signal in enumerate(generate_clips(cfg, dataset.labels, dataset.seeds)):
+    for i, (samples, rate) in enumerate(generate_clips(cfg, dataset.labels, dataset.seeds)):
         label = int(dataset.labels[i])
         name = f"{FaultClass(label).name.lower()}_{i % cfg.samples_per_class:04d}.wav"
-        write_wav(out / name, signal.replace_samples(signal.samples * gain))
+        write_wav(out / name, AudioSignal(samples * gain, rate))
         rows.append([name, label, int(dataset.seeds[i])])
     write_csv(out / "labels.csv", rows)
     print(f"wrote {len(dataset)} WAV files and labels.csv to {out} (gain {gain:.4f})")

@@ -1,11 +1,12 @@
 """Spectral transforms and mid-level signal representations.
 
-Everything here is a pure function of its inputs that returns plain
-arrays: Hann-windowed STFT power spectrograms with their bin frequencies
-(``numpy.fft``), mel-frequency cepstra of a spectrogram, Daubechies
-wavelet subband energies and a spectrogram's chroma profile. Filterbank,
-DCT and pitch-class tables are cached read-only, so the kernels are safe
-to call from multiple threads.
+Everything here is a pure function of plain arrays (a clip is its 1-D
+samples; the sample rate is passed where it is needed) that returns
+plain arrays: Hann-windowed STFT power spectrograms with their bin
+frequencies (``numpy.fft``), mel-frequency cepstra of a spectrogram,
+Daubechies wavelet subband energies and a spectrogram's chroma profile.
+Filterbank, DCT and pitch-class tables are cached read-only, so the
+kernels are safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .audio import AudioSignal, frame_signal, hann_window
+from .audio import frame_signal, hann_window
 from .errors import ParameterError
 
 LOG_ENERGY_FLOOR = 1e-10
@@ -42,17 +43,19 @@ def next_pow2(n: int) -> int:
     return p
 
 
-def stft(x: AudioSignal, window_size: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
+def stft(
+    samples: np.ndarray, sample_rate_hz: float, window_size: int, hop: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Hann-windowed short-time power spectrogram and its bin frequencies.
 
     Returns ``(power, freqs)``: one-sided power, rows = frames, and the
     frequency of each column in Hz. Frames are zero-padded to the next
     power of two before the FFT, so any window size is accepted.
     """
-    frames = frame_signal(x, window_size, hop)
+    frames = frame_signal(samples, window_size, hop)
     nfft = next_pow2(window_size)
     power = np.abs(np.fft.rfft(frames * hann_window(window_size), n=nfft)) ** 2
-    return power, np.arange(nfft // 2 + 1) * (x.sample_rate_hz / nfft)
+    return power, np.arange(nfft // 2 + 1) * (sample_rate_hz / nfft)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +172,13 @@ def _dwt_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return windows @ _DB4_LO, windows @ _DB4_HI
 
 
-def dwt_energies(x: AudioSignal, levels: int = 5) -> np.ndarray:
+def dwt_energies(samples: np.ndarray, levels: int = 5) -> np.ndarray:
     """Daubechies-4 subband energies ``[D1, ..., Dn, An]`` over ``levels`` levels.
 
     ``Di`` is the level-i detail band energy and ``An`` that of the final
     approximation. The transform is orthonormal with periodic extension,
     so the energies sum to the signal's energy.
     """
-    samples = x.samples
     if levels < 1:
         raise ParameterError("levels must be >= 1")
     if len(samples) < 2 ** levels:

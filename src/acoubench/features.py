@@ -2,8 +2,9 @@
 
 Three extractor groups (35 time, 45 frequency, 47 time-frequency)
 produce values in the fixed order defined by :mod:`acoubench.registry`.
-The frequency and time-frequency groups share one STFT per clip
-(:func:`spectrogram`) and its spectral-flux track. Within a group each
+Each takes a clip's 1-D samples and its sample rate. The frequency and
+time-frequency groups share one STFT per clip (:func:`spectrogram`) and
+its spectral-flux track. Within a group each
 intermediate is computed once: one sort gives the time group's order
 statistics, and one frame-energy sum and one log of the spectrogram
 serve every per-frame statistic.
@@ -20,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .audio import AudioSignal
 from .errors import ParameterError
 from .registry import FEATURE_COUNT, feature_names
 
@@ -136,11 +136,11 @@ def spectral_flux(power_rows):
     return np.linalg.norm(np.diff(unit, axis=0), axis=1)
 
 
-def full_spectrum(x: AudioSignal):
+def full_spectrum(samples: np.ndarray, sample_rate_hz: float):
     """Power spectrum of the whole clip zero-padded to a power of two, and its bin frequencies."""
-    nfft = dsp.next_pow2(len(x.samples))
-    power = np.abs(np.fft.rfft(x.samples, n=nfft)) ** 2
-    return power, np.arange(nfft // 2 + 1) * (x.sample_rate_hz / nfft)
+    nfft = dsp.next_pow2(len(samples))
+    power = np.abs(np.fft.rfft(samples, n=nfft)) ** 2
+    return power, np.arange(nfft // 2 + 1) * (sample_rate_hz / nfft)
 
 
 def _hop(sample_rate_hz: float) -> int:
@@ -148,9 +148,10 @@ def _hop(sample_rate_hz: float) -> int:
     return dsp.default_window_size(sample_rate_hz) // 2
 
 
-def spectrogram(x: AudioSignal) -> tuple[np.ndarray, np.ndarray]:
+def spectrogram(samples: np.ndarray, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
     """The STFT ``(power, freqs)`` that the frequency and time-frequency groups share."""
-    return dsp.stft(x, dsp.default_window_size(x.sample_rate_hz), _hop(x.sample_rate_hz))
+    window = dsp.default_window_size(sample_rate_hz)
+    return dsp.stft(samples, sample_rate_hz, window, _hop(sample_rate_hz))
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +233,8 @@ def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
     return sums.ravel()[:n] / width
 
 
-def time_features(x: AudioSignal) -> np.ndarray:
-    s = x.samples
-    n = len(s)
-    sr = x.sample_rate_hz
+def time_features(samples: np.ndarray, sample_rate_hz: float) -> np.ndarray:
+    s, n, sr = samples, len(samples), sample_rate_hz
 
     mean = float(s.mean())
     centered = s - mean
@@ -335,14 +334,16 @@ def time_features(x: AudioSignal) -> np.ndarray:
 # frequency-domain group (45)
 # ---------------------------------------------------------------------------
 
-def freq_features(x: AudioSignal, sgram: tuple[np.ndarray, np.ndarray], flux=None) -> np.ndarray:
-    """The 45 frequency-domain values; ``sgram`` is :func:`spectrogram` of ``x``.
+def freq_features(
+    samples: np.ndarray, sample_rate_hz: float, sgram: tuple[np.ndarray, np.ndarray], flux=None
+) -> np.ndarray:
+    """The 45 frequency-domain values; ``sgram`` is :func:`spectrogram` of the clip.
 
     ``flux`` is :func:`spectral_flux` of the spectrogram's power, computed
     here unless the caller shares it with :func:`timefreq_features`.
     """
     stft_power, stft_freqs = sgram
-    power, freqs = full_spectrum(x)
+    power, freqs = full_spectrum(samples, sample_rate_hz)
     total = power.sum()
     floored = np.maximum(power, _EPS)
 
@@ -354,7 +355,7 @@ def freq_features(x: AudioSignal, sgram: tuple[np.ndarray, np.ndarray], flux=Non
         flux = spectral_flux(stft_power)
     mean_flux = float(flux.mean()) if len(flux) else 0.0
 
-    mf = dsp.mfcc_from_spectrogram(stft_power, x.sample_rate_hz, n_coeffs=13)
+    mf = dsp.mfcc_from_spectrogram(stft_power, sample_rate_hz, n_coeffs=13)
     mfcc_means = mf.mean(axis=0)
     mfcc_stds = mf.std(axis=0)
 
@@ -388,9 +389,9 @@ def _traj_stats(values: np.ndarray) -> list[float]:
 
 
 def timefreq_features(
-    x: AudioSignal, sgram: tuple[np.ndarray, np.ndarray], flux=None
+    samples: np.ndarray, sample_rate_hz: float, sgram: tuple[np.ndarray, np.ndarray], flux=None
 ) -> np.ndarray:
-    """The 47 time-frequency values; ``sgram`` is :func:`spectrogram` of ``x``.
+    """The 47 time-frequency values; ``sgram`` is :func:`spectrogram` of the clip.
 
     ``flux`` is as for :func:`freq_features`. Every per-frame statistic
     shares one frame-energy sum and one log of the floored power, and the
@@ -430,7 +431,7 @@ def timefreq_features(
 
     values = centroid_stats + bandwidth_stats + rolloff_stats + flatness_stats + _traj_stats(flux)
 
-    subbands = dsp.dwt_energies(x, levels=5)
+    subbands = dsp.dwt_energies(samples, levels=5)
     values += [float(v) for v in subbands]
     shares = _safe_div(subbands, subbands.sum())
     values += [float(v) for v in shares]
@@ -443,7 +444,7 @@ def timefreq_features(
     values += frame_power_stats
     values += _standardized_moments(frame_power - fp_mean, fp_std, (3,))
 
-    frame_rate_hz = x.sample_rate_hz / _hop(x.sample_rate_hz)
+    frame_rate_hz = sample_rate_hz / _hop(sample_rate_hz)
     mod_freq, mod_strength = _modulation_peak(frame_power, frame_rate_hz)
     values += [mod_freq, mod_strength]
 
@@ -487,24 +488,39 @@ def _modulation_peak(trajectory: np.ndarray, frame_rate_hz: float) -> tuple[floa
 # assembly
 # ---------------------------------------------------------------------------
 
-def extract_all(x: AudioSignal) -> np.ndarray:
-    """Full 127-value vector: time[0..34] + frequency[35..79] + time-frequency[80..126]."""
-    time = time_features(x)  # before the spectrogram: its temporaries are the clip's peak memory
-    sgram = spectrogram(x)
-    flux = spectral_flux(sgram[0])  # both spectral groups report its mean
-    return np.concatenate(
-        [time, freq_features(x, sgram, flux), timefreq_features(x, sgram, flux)]
-    )
+def extract_all(samples, sample_rate_hz: float) -> np.ndarray:
+    """Full 127-value vector: time[0..34] + frequency[35..79] + time-frequency[80..126].
 
-
-def extract_matrix(signals) -> np.ndarray:
-    """Feature matrix [n_signals, 127]; rows follow input order.
-
-    ``signals`` may be any iterable, a generator too: each signal is
-    extracted as it arrives and only its row is kept. Raises
-    ``ParameterError`` unless every row has 127 finite values.
+    Raises ``ParameterError`` unless ``samples`` is a non-empty 1-D array
+    of finite values and ``sample_rate_hz`` is positive.
     """
-    matrix = np.vstack([extract_all(sig) for sig in signals])
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 1 or len(samples) == 0:
+        raise ParameterError("samples must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(samples)):
+        raise ParameterError("samples must all be finite")
+    if not sample_rate_hz > 0:
+        raise ParameterError("sample_rate_hz must be positive")
+    # the time group runs before the spectrogram: its temporaries are the clip's peak memory
+    time = time_features(samples, sample_rate_hz)
+    sgram = spectrogram(samples, sample_rate_hz)
+    flux = spectral_flux(sgram[0])  # both spectral groups report its mean
+    shared = (samples, sample_rate_hz, sgram, flux)
+    return np.concatenate([time, freq_features(*shared), timefreq_features(*shared)])
+
+
+def extract_matrix(clips) -> np.ndarray:
+    """Feature matrix [n_clips, 127]; rows follow input order.
+
+    ``clips`` yields ``(samples, sample_rate_hz)`` pairs and may be any
+    iterable, a generator too: each clip is extracted as it arrives and
+    only its row is kept. Raises ``ParameterError`` when there is no clip,
+    and unless every row has 127 finite values.
+    """
+    rows = [extract_all(samples, rate) for samples, rate in clips]
+    if not rows:
+        raise ParameterError("no clips to extract")
+    matrix = np.vstack(rows)
     if matrix.shape[1] != FEATURE_COUNT:
         raise ParameterError(f"feature vector must have {FEATURE_COUNT} values")
     if not np.all(np.isfinite(matrix)):

@@ -125,7 +125,9 @@ def generate_sample(cls: FaultClass, seed: int, cfg: GeneratorConfig) -> AudioSi
         impulses[start:stop] += gains[b] * burst[: stop - start]
 
     samples = tone + cfg.impulse_amplitudes[cls] * impulses + noise
-    return AudioSignal(samples=samples, sample_rate_hz=cfg.sample_rate_hz)
+    if not np.all(np.isfinite(samples)):  # amplitudes near the float limit overflow
+        raise ParameterError("samples must all be finite")
+    return AudioSignal(samples, cfg.sample_rate_hz)
 
 
 def sample_seed(cfg: GeneratorConfig, cls: FaultClass, index: int) -> int:
@@ -159,24 +161,24 @@ def generate_clips(cfg: GeneratorConfig, labels, seeds):
     return (generate_sample(int(cls), int(seed), cfg) for cls, seed in zip(labels, seeds))
 
 
-def add_noise_at_snr(x: AudioSignal, snr_db: float, seed: int) -> AudioSignal:
+def add_noise_at_snr(samples: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     """Inject white Gaussian noise at an exact signal-to-noise ratio.
 
     The drawn noise is rescaled so the realized ratio of mean powers
     matches ``snr_db`` rather than only in expectation. ``math.inf``
-    means clean: the signal is returned unchanged.
+    means clean: the samples are returned unchanged.
     """
     if math.isinf(snr_db) and snr_db > 0:
-        return x
-    p_signal = float(np.mean(x.samples ** 2))
+        return samples
+    p_signal = float(np.mean(samples ** 2))
     if p_signal <= 0:
         raise DegenerateSignalError("cannot set an SNR against a zero-power signal")
     rng = np.random.default_rng(seed)
-    raw = rng.normal(size=len(x.samples))
+    raw = rng.normal(size=len(samples))
     target_power = p_signal / (10 ** (snr_db / 10.0))
     raw_power = float(np.mean(raw ** 2))
     noise = raw * math.sqrt(target_power / raw_power)
-    return x.replace_samples(x.samples + noise)
+    return samples + noise
 
 
 def robustness_index(f1_by_condition) -> float:

@@ -1,8 +1,9 @@
 """16-bit PCM mono WAV reading and writing.
 
 Only the unambiguous profile is supported: RIFF/WAVE, format code 1,
-16-bit little-endian, single channel. Integer samples map to [-1, 1)
-through division by 32768; anything else is rejected, not converted.
+16-bit little-endian, single channel, a positive sample rate. Integer
+samples map to [-1, 1) through division by 32768; anything else is
+rejected, not converted.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ def read_wav(path) -> AudioSignal:
                     f"{path}: expected 16-bit samples, got {8 * wf.getsampwidth()}-bit"
                 )
             rate = wf.getframerate()
+            if rate <= 0:
+                raise UnsupportedWavError(f"{path}: sample rate must be positive, got {rate} Hz")
             raw = wf.readframes(wf.getnframes())
     except wave.Error as exc:
         raise UnsupportedWavError(f"{path}: not a readable WAV file ({exc})") from exc

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from acoubench.audio import AudioSignal
-
 SR = 16000.0
 
 
@@ -13,12 +11,12 @@ def rng():
 
 def make_tone(freq_hz: float, duration_s: float = 1.0, sr: float = SR, amp: float = 1.0):
     t = np.arange(round(duration_s * sr)) / sr
-    return AudioSignal(amp * np.sin(2 * np.pi * freq_hz * t), sr)
+    return amp * np.sin(2 * np.pi * freq_hz * t)
 
 
 def make_noise(duration_s: float = 1.0, sr: float = SR, seed: int = 0, amp: float = 1.0):
     rng = np.random.default_rng(seed)
-    return AudioSignal(amp * rng.normal(size=round(duration_s * sr)), sr)
+    return amp * rng.normal(size=round(duration_s * sr))
 
 
 def direct_dft(x: np.ndarray) -> np.ndarray:

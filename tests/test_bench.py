@@ -443,9 +443,16 @@ class TestBadConfigCli:
             ({"cv": {"n_folds": 3, "holdout_fraction": 0.04}},
              "error [cv] 'holdout_fraction' 0.04 of at most 12 clips per class rounds to a "
              "hold-out of 0 clips"),
+            # finite amplitudes whose bursts overflow: generate_sample rejects the clip
+            pytest.param(
+                {"data": {**TINY["data"], "generator": {
+                    "impulse_amplitudes": [0, 1e307, 1e308, 1.5e308, 1.7e308]}}},
+                "error [data] samples must all be finite",
+                marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+            ),
         ],
         ids=["preprocess", "data-wav", "data-size", "data-generator", "stats-q-alpha",
-             "cv-empty-holdout"],
+             "cv-empty-holdout", "data-overflow"],
     )
     def test_bench_fails_before_writing(self, tmp_path, capsys, override, message):
         config_path = tmp_path / "config.json"
@@ -597,11 +604,10 @@ def write_corpus(root, per_class=1):
     rows = [["filename", "label"]]
     for cls in (FaultClass.NORMAL, FaultClass.MODERATE_FAULT, FaultClass.CRITICAL_FAULT):
         for k in range(int(cls) * per_class, (int(cls) + 1) * per_class):
-            sig = generate_sample(cls, k, cfg)
-            peak = np.max(np.abs(sig.samples))
-            scaled = sig.replace_samples(sig.samples / (peak * 1.01))
+            samples, rate = generate_sample(cls, k, cfg)
+            peak = np.max(np.abs(samples))
             name = f"sample_{k}.wav"
-            write_wav(wav_dir / name, scaled)
+            write_wav(wav_dir / name, AudioSignal(samples / (peak * 1.01), rate))
             rows.append([name, int(cls)])
     labels = root / "labels.csv"
     with open(labels, "w", newline="") as fh:
@@ -622,7 +628,7 @@ class TestLoadCorpus:
         # file name and feature row, not its samples
         assert ds.filenames == ["sample_0.wav", "sample_2.wav", "sample_4.wav"]
         clips = [read_wav(wav_dir / name) for name in ds.filenames]
-        assert [len(sig) for sig in clips] == [8000] * 3
+        assert [len(sig.samples) for sig in clips] == [8000] * 3
         np.testing.assert_array_equal(ds.features, features.extract_matrix(clips))
         np.testing.assert_array_equal(ds.labels, [0, 1, 2])  # densified
 
@@ -630,9 +636,9 @@ class TestLoadCorpus:
         calls = []
         extract_all = features.extract_all
 
-        def counting_extract_all(signal):
-            calls.append(len(signal))
-            return extract_all(signal)
+        def counting_extract_all(samples, sample_rate_hz):
+            calls.append(len(samples))
+            return extract_all(samples, sample_rate_hz)
 
         monkeypatch.setattr(features, "extract_all", counting_extract_all)
         wav_dir, labels = write_corpus(tmp_path, per_class=4)
@@ -755,23 +761,29 @@ class TestLoadCorpus:
         for name, channels, width, reason in [
             ("stereo.wav", 2, 2, "expected mono, got 2 channels"),
             ("byte.wav", 1, 1, "expected 16-bit samples, got 8-bit"),
+            ("zero_rate.wav", 1, 2, "sample rate must be positive, got 0 Hz"),
         ]:
             with wave.open(str(wav_dir / name), "wb") as wf:
                 wf.setnchannels(channels)
                 wf.setsampwidth(width)
                 wf.setframerate(16000)
                 wf.writeframes(bytes(8000 * channels * width))
+            if name == "zero_rate.wav":  # a header whose sample rate (bytes 24-27) reads 0 Hz
+                data = bytearray((wav_dir / name).read_bytes())
+                data[24:28] = bytes(4)
+                (wav_dir / name).write_bytes(bytes(data))
             alone = labels.with_name(f"{name}.csv")
             alone.write_text(f"{good}{name},1\n")
             with pytest.raises(UnsupportedWavError, match=f"{name}: {reason}"):
                 load_corpus(wav_dir, alone)
-        labels.write_text(f"{good}stereo.wav,1\nbyte.wav,1\n")
-        with pytest.warns(UserWarning, match="skipped 2 files"):
+        labels.write_text(f"{good}stereo.wav,1\nbyte.wav,1\nzero_rate.wav,1\n")
+        with pytest.warns(UserWarning, match="skipped 3 files"):
             ds = load_corpus(wav_dir, labels, permissive=True)
         assert len(ds) == 3
         assert ds.provenance["skipped"] == {
             "stereo.wav": "expected mono, got 2 channels",
             "byte.wav": "expected 16-bit samples, got 8-bit",
+            "zero_rate.wav": "sample rate must be positive, got 0 Hz",
         }
 
     def test_skipped_files_land_in_the_manifest(self, tmp_path):

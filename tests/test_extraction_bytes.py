@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from acoubench.audio import AudioSignal, normalize_rms
+from acoubench.audio import normalize_rms
 from acoubench.features import (
     _moving_average,
     _sorted_median,
@@ -40,25 +40,26 @@ def _quantized(samples):
 
 
 def pinned_clips() -> list:
-    """Clips of the shapes extraction meets: WAV-like, odd, silent, another rate, noisy."""
+    """``(samples, rate)`` clips of the shapes extraction meets: WAV-like, odd, silent,
+    another rate, noisy."""
     clips = []
     # the five clip lengths of the benchmark's extract corpus, 16-bit like a WAV file
     for i, duration in enumerate((0.25, 0.5, 0.75, 1.0, 1.25)):
         cfg = GeneratorConfig(samples_per_class=4, duration_s=duration, base_seed=19)
         clip = generate_sample(FaultClass(i), 1900 + i, cfg)
-        clips.append(AudioSignal(_quantized(0.4 * clip.samples), clip.sample_rate_hz))
+        clips.append((_quantized(0.4 * clip.samples), clip.sample_rate_hz))
     # odd length with a silent stretch
     odd = np.random.default_rng(19).normal(size=8001)
     odd[2000:3500] = 0.0
-    clips.append(AudioSignal(odd, 16000.0))
+    clips.append((odd, 16000.0))
     other_rate = GeneratorConfig(duration_s=0.6, sample_rate_hz=22050.0)
     clips.append(generate_sample(FaultClass(2), 1910, other_rate))
     # RMS-normalized clips with noise at 40 and 10 dB, as the noise sweep makes them
     for i, snr_db in enumerate((40.0, 10.0)):
         clean = normalize_rms(
-            generate_sample(FaultClass(3 + i), 1920 + i, GeneratorConfig(duration_s=0.5))
+            generate_sample(FaultClass(3 + i), 1920 + i, GeneratorConfig(duration_s=0.5)).samples
         )
-        clips.append(add_noise_at_snr(clean, snr_db, 1930 + i))
+        clips.append((add_noise_at_snr(clean, snr_db, 1930 + i), 16000.0))
     return clips
 
 
@@ -108,9 +109,9 @@ def test_order_statistics_with_mixed_zero_signs_match_numpy_in_value():
     assert _sorted_median(ordered) == np.median(s)
 
 
-def _convolved_envelope_stats(x: AudioSignal):
-    width = max(1, round(x.sample_rate_hz * 0.010))
-    env = np.convolve(np.abs(x.samples), np.full(width, 1.0 / width), mode="same")
+def _convolved_envelope_stats(samples, sample_rate_hz):
+    width = max(1, round(sample_rate_hz * 0.010))
+    env = np.convolve(np.abs(samples), np.full(width, 1.0 / width), mode="same")
     return np.array([env.mean(), env.std(), env.max()])
 
 
@@ -120,8 +121,8 @@ def _convolved_envelope_stats(x: AudioSignal):
 def test_envelope_columns_match_the_convolution(rate_hz, duration_s):
     cfg = GeneratorConfig(duration_s=duration_s, sample_rate_hz=rate_hz)
     x = generate_sample(FaultClass(4), 1940, cfg)
-    got = time_features(x)[ENVELOPE_COLUMNS]
-    np.testing.assert_allclose(got, _convolved_envelope_stats(x), rtol=1e-12, atol=0)
+    got = time_features(*x)[ENVELOPE_COLUMNS]
+    np.testing.assert_allclose(got, _convolved_envelope_stats(*x), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from acoubench import bench, features, synth
+from acoubench.audio import AudioSignal
 from acoubench.bench import ExperimentConfig, _prepare
 from acoubench.cli import main as cli_main
 from acoubench.errors import PipelineStageError
@@ -66,10 +67,11 @@ def _wav_corpus(root, n_clips, silent=False):
     rows = [["filename", "label"]]
     for i in range(n_clips):
         clip = generate_sample(i % 2, i, CLIP)
-        write_wav(wav_dir / f"c{i}.wav", clip.replace_samples(clip.samples * 0.3))
+        write_wav(wav_dir / f"c{i}.wav", AudioSignal(clip.samples * 0.3, clip.sample_rate_hz))
         rows.append([f"c{i}.wav", i % 2])
     if silent:
-        write_wav(wav_dir / "silent.wav", clip.replace_samples(np.zeros(CLIP.n_samples)))
+        silence = AudioSignal(np.zeros(CLIP.n_samples), CLIP.sample_rate_hz)
+        write_wav(wav_dir / "silent.wav", silence)
         rows.append(["silent.wav", 1])
     labels = root / "labels.csv"
     with open(labels, "w", newline="") as fh:
@@ -88,9 +90,9 @@ def test_extract_reads_each_listed_file_once_and_extracts_each_kept_clip_once(tm
         reads.append(path.name)
         return read_wav(path)
 
-    def counting_extract_all(signal):
-        extracted.append(len(signal))
-        return extract_all(signal)
+    def counting_extract_all(samples, sample_rate_hz):
+        extracted.append(len(samples))
+        return extract_all(samples, sample_rate_hz)
 
     monkeypatch.setattr(bench, "read_wav", counting_read_wav)
     monkeypatch.setattr(features, "extract_all", counting_extract_all)

@@ -56,3 +56,13 @@ def test_garbage_file_rejected(tmp_path):
     path.write_bytes(b"not a riff file at all")
     with pytest.raises(UnsupportedWavError):
         read_wav(path)
+
+
+def test_zero_rate_rejected_naming_the_file(tmp_path):
+    path = tmp_path / "zero_rate.wav"
+    write_wav(path, AudioSignal(np.full(64, 0.5), SR))
+    data = bytearray(path.read_bytes())
+    data[24:28] = bytes(4)  # the fmt chunk's sample rate
+    path.write_bytes(bytes(data))
+    with pytest.raises(UnsupportedWavError, match=r"zero_rate\.wav: sample rate must be positive"):
+        read_wav(path)
