@@ -60,7 +60,9 @@ def normalize_amplitude(samples: np.ndarray) -> np.ndarray:
 
 def normalize_rms(samples: np.ndarray) -> np.ndarray:
     """Scale so the root-mean-square value is exactly 1."""
-    rms = np.sqrt(np.mean(samples ** 2))
-    if rms == 0:
+    power = np.mean(samples ** 2)
+    if not np.isfinite(power):
+        raise DegenerateSignalError("cannot RMS-normalize a signal whose mean square is not finite")
+    if power == 0:
         raise DegenerateSignalError("cannot RMS-normalize an all-zero signal")
-    return samples / rms
+    return samples / np.sqrt(power)

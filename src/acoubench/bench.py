@@ -144,7 +144,6 @@ class ExperimentConfig:
     timing_enabled: bool = True
     timing_repetitions: int = 3
     nemenyi_q_alpha: float | None = None
-    output_dir: str = "bench-output"
 
     def __post_init__(self):
         self.seed = checked("seed", self.seed, int)
@@ -224,11 +223,11 @@ class ExperimentConfig:
             raise ParameterError(f"config block 'data': {exc}") from None
 
     @classmethod
-    def from_dict(cls, raw: dict, seed: int | None = None, output_dir: str | None = None):
+    def from_dict(cls, raw: dict, seed: int | None = None):
         """Build from a JSON config; a key left out takes the field's default."""
         if not isinstance(raw, dict):
             raise ParameterError(f"a config must be an object, got {raw!r}")
-        top_level = ("data", "preprocess", "models", "output_dir")
+        top_level = ("data", "preprocess", "models")
         unknown = set(raw) - {"seed", *top_level, *_CONFIG_BLOCKS}
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
@@ -241,17 +240,15 @@ class ExperimentConfig:
             if unknown:
                 raise ParameterError(f"unknown keys in config block {block!r}: {sorted(unknown)}")
             fields.update((keys[key], v) for key, v in value.items())
-        if output_dir:
-            fields["output_dir"] = output_dir
         return cls(seed=seed if seed is not None else raw.get("seed"), **fields)
 
     @classmethod
-    def from_file(cls, path, seed: int | None = None, output_dir: str | None = None):
+    def from_file(cls, path, seed: int | None = None):
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_dict(raw, seed=seed, output_dir=output_dir)
+        return cls.from_dict(raw, seed=seed)
 
     def canonical_dict(self) -> dict:
-        """Everything that determines the numbers; excludes the output path."""
+        """Everything that determines the numbers; the timing block shapes only timing.csv."""
         return {
             "seed": self.seed,
             "data": self.data,
@@ -750,15 +747,10 @@ def write_csv(path: Path, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _condition_names(conditions) -> list:
-    return ["Clean"] + [
-        f"SNR {int(v) if float(v).is_integer() else v} dB" for v in conditions[1:]
-    ]
-
-
 def noise_rows(model_names, conditions, table) -> list:
     """Rows of noise.csv: F1 per condition and the robustness index."""
-    rows = [["Algorithm"] + _condition_names(conditions) + ["Robustness Index"]]
+    levels = [f"SNR {int(v) if float(v).is_integer() else v} dB" for v in conditions[1:]]
+    rows = [["Algorithm", "Clean"] + levels + ["Robustness Index"]]
     for name in model_names:
         values = table[name]
         rows.append([name] + [_fmt(v) for v in values] + [_fmt(robustness_index(values))])
@@ -793,8 +785,6 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
     """Render the bundle as CSV files + manifest; returns {label: path}."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    figs = out / "figs"
-    figs.mkdir(exist_ok=True)
     written = {}
     # [n_models, METRIC_COLUMNS], each reduced over one contiguous row of fold
     # scores: numpy sums such a row pairwise from 8 folds on, as it does a
@@ -824,13 +814,6 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
             noise_rows(bundle.model_names, bundle.noise_conditions, bundle.noise_table),
         )
         written["noise"] = out / "noise.csv"
-
-        rows = [["model", "condition", "f1"]]
-        conditions = _condition_names(bundle.noise_conditions)
-        for name in bundle.model_names:
-            for cond, value in zip(conditions, bundle.noise_table[name]):
-                rows.append([name, cond, _fmt(value)])
-        write_csv(figs / "fig6_noise_curves.csv", rows)
 
     if bundle.importance is not None:
         order = np.argsort(-bundle.importance, kind="stable")
@@ -874,23 +857,6 @@ def write_bundle(bundle: ReportBundle, out_dir) -> dict:
             )
         write_csv(out / "timing.csv", rows)
         written["timing"] = out / "timing.csv"
-        rows = [["model", "prediction_ms"]]
-        for name in bundle.model_names:
-            rows.append([name, f"{bundle.timing[name].prediction_ms_per_sample:.4f}"])
-        write_csv(figs / "fig4_prediction_time.csv", rows)
-
-    rows = [["model", "metric", "mean", "std"]]
-    for name, mean, std in zip(bundle.model_names, means, stds):
-        for m, metric in enumerate(("accuracy", "precision", "recall")):
-            rows.append([name, metric, _fmt(mean[m]), _fmt(std[m])])
-    write_csv(figs / "fig3_performance.csv", rows)
-
-    dataset_label = bundle.config.data.get("source", "synthetic")
-    f1 = METRIC_COLUMNS.index("f1")
-    rows = [["dataset", "model", "f1_mean", "f1_std"]]
-    for name, mean, std in zip(bundle.model_names, means, stds):
-        rows.append([dataset_label, name, _fmt(mean[f1]), _fmt(std[f1])])
-    write_csv(figs / "fig5_f1_by_dataset.csv", rows)
 
     header = ["sample_index", "fold", "y_true"] + list(bundle.model_names)
     write_csv(out / "predictions.csv", [header] + bundle.predictions.tolist())

@@ -38,8 +38,8 @@ from .wavio import write_wav
 
 def _load_config(args) -> ExperimentConfig:
     if args.config:
-        return ExperimentConfig.from_file(args.config, seed=args.seed, output_dir=args.out)
-    return ExperimentConfig.from_dict({}, seed=args.seed, output_dir=args.out)
+        return ExperimentConfig.from_file(args.config, seed=args.seed)
+    return ExperimentConfig.from_dict({}, seed=args.seed)
 
 
 def _cmd_synth(args) -> int:
@@ -91,7 +91,7 @@ def _cmd_extract(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = _load_config(args)
     bundle = run_experiment(cfg)
-    written = write_bundle(bundle, cfg.output_dir)
+    written = write_bundle(bundle, args.out)
     for label, path in sorted(written.items()):
         print(f"{label}: {path}")
     return 0
@@ -108,7 +108,7 @@ def _cmd_noise(args) -> int:
                 f"--levels must be comma-separated numbers, got {args.levels!r}"
             ) from None
     names, conditions, table, _ = run_noise_sweep(cfg, levels_db=levels)
-    out = Path(cfg.output_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "noise.csv", noise_rows(names, conditions, table))
     print(f"noise: {out / 'noise.csv'}")
@@ -154,13 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the full benchmark")
     p.add_argument("--config", help="JSON experiment config")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, help="overrides the config's seed")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("noise", help="run only the noise sweep")
     p.add_argument("--config", help="JSON experiment config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", type=int, help="overrides the config's seed")
     p.add_argument("--levels", help="comma-separated SNR levels in dB, e.g. 40,30,20,10")
     p.set_defaults(func=_cmd_noise)
 

@@ -74,10 +74,24 @@ class GeneratorConfig:
         amps = self.impulse_amplitudes
         if any(b <= a for a, b in zip(amps, amps[1:])):
             raise ParameterError("impulse amplitudes must increase strictly with severity")
+        for c, amp in enumerate(amps):
+            # a sample sums at most a clip's bursts, each peaking at most at 1.2 |amplitude|
+            n_bursts = self.n_bursts(c)
+            peak = 1.2 * abs(amp) * n_bursts
+            if not math.isfinite(peak * peak):
+                raise ParameterError(
+                    f"'impulse_amplitudes[{c}]' {amp!r} is too large: {n_bursts} bursts "
+                    f"of peak 1.2 × {abs(amp)!r} overflow the power of a clip"
+                )
 
     @property
     def n_samples(self) -> int:
         return round(self.duration_s * self.sample_rate_hz)
+
+    def n_bursts(self, cls) -> int:
+        """Resonance bursts a clip of class ``cls`` draws: one per defect period, plus one."""
+        period = self.sample_rate_hz / self.impulse_rates_hz[cls]
+        return int(np.ceil(self.n_samples / period)) + 1
 
 
 def generate_sample(cls: FaultClass, seed: int, cfg: GeneratorConfig) -> AudioSignal:
@@ -112,7 +126,7 @@ def generate_sample(cls: FaultClass, seed: int, cfg: GeneratorConfig) -> AudioSi
     bt = np.arange(burst_len) / cfg.sample_rate_hz
     burst = np.exp(-bt / cfg.resonance_decay_s) * np.sin(2 * np.pi * cfg.resonance_freq_hz * bt)
     impulses = np.zeros(n)
-    n_bursts = int(np.ceil(n / period)) + 1
+    n_bursts = cfg.n_bursts(cls)
     jitters = rng.normal(0, jitter_scale, size=n_bursts)
     gains = rng.uniform(0.8, 1.2, size=n_bursts)
     for b in range(n_bursts):
@@ -125,7 +139,7 @@ def generate_sample(cls: FaultClass, seed: int, cfg: GeneratorConfig) -> AudioSi
         impulses[start:stop] += gains[b] * burst[: stop - start]
 
     samples = tone + cfg.impulse_amplitudes[cls] * impulses + noise
-    if not np.all(np.isfinite(samples)):  # amplitudes near the float limit overflow
+    if not np.all(np.isfinite(samples)):  # a backstop: the config bounds the amplitudes
         raise ParameterError("samples must all be finite")
     return AudioSignal(samples, cfg.sample_rate_hz)
 
@@ -171,6 +185,10 @@ def add_noise_at_snr(samples: np.ndarray, snr_db: float, seed: int) -> np.ndarra
     if math.isinf(snr_db) and snr_db > 0:
         return samples
     p_signal = float(np.mean(samples ** 2))
+    if not math.isfinite(p_signal):
+        raise DegenerateSignalError(
+            "cannot set an SNR against a signal whose mean square is not finite"
+        )
     if p_signal <= 0:
         raise DegenerateSignalError("cannot set an SNR against a zero-power signal")
     rng = np.random.default_rng(seed)

@@ -8,7 +8,6 @@ a session fixture and is shared by the criteria that inspect its output.
 import math
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,13 +62,13 @@ def desk_run(tmp_path_factory):
             "timing": {"enabled": True, "repetitions": 3},
         },
         seed=DESK_SEED,
-        output_dir=str(tmp_path_factory.mktemp("desk")),
     )
     start = time.perf_counter()
     bundle = run_experiment(cfg)
     runtime = time.perf_counter() - start
-    write_bundle(bundle, cfg.output_dir)
-    return cfg, bundle, runtime
+    out = tmp_path_factory.mktemp("desk")
+    write_bundle(bundle, out)
+    return out, bundle, runtime
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +386,9 @@ def test_criterion_7_byte_identical_runs(tmp_path):
     }
     outputs = []
     for sub in ("run1", "run2"):
-        cfg = ExperimentConfig.from_dict(config, seed=11, output_dir=str(tmp_path / sub))
-        write_bundle(run_experiment(cfg), cfg.output_dir)
-        outputs.append(Path(cfg.output_dir))
+        cfg = ExperimentConfig.from_dict(config, seed=11)
+        write_bundle(run_experiment(cfg), tmp_path / sub)
+        outputs.append(tmp_path / sub)
     deterministic = (
         "metrics.csv",
         "significance.csv",
@@ -410,7 +409,7 @@ def test_criterion_7_byte_identical_runs(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_domain_attribution(desk_run):
-    cfg, bundle, _ = desk_run
+    out, bundle, _ = desk_run
     importance = bundle.importance
     assert importance is not None
     assert np.all(importance >= 0)
@@ -422,7 +421,7 @@ def test_criterion_8_domain_attribution(desk_run):
         shares[domain] = float(importance[ids].sum())
     assert sum(shares.values()) == pytest.approx(1.0, abs=1e-9)
 
-    domain_csv = Path(cfg.output_dir) / "domain_importance.csv"
+    domain_csv = out / "domain_importance.csv"
     assert domain_csv.is_file()
     # the published 58/25/17 split is NOT an acceptance target; only the
     # grouping mechanics are verified here

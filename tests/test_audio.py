@@ -119,6 +119,12 @@ class TestNormalization:
         with pytest.raises(DegenerateSignalError):
             normalize_rms(np.zeros(8))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rms_of_overflowing_squares_rejected(self):
+        # finite samples whose mean square is inf would otherwise scale to zeros
+        with pytest.raises(DegenerateSignalError, match="mean square is not finite"):
+            normalize_rms(np.array([1e307, -1e307, 5e306]))
+
     def test_rms_idempotent(self):
         once = normalize_rms(make_noise(seed=9, amp=5.0))
         twice = normalize_rms(once)

@@ -44,6 +44,11 @@ TINY = {
 }
 
 ROOT = Path(__file__).resolve().parents[1]
+# every file a bench run writes with every report on, and nothing else
+BUNDLE_FILES = {
+    "metrics.csv", "significance.csv", "friedman.csv", "noise.csv", "importance.csv",
+    "domain_importance.csv", "timing.csv", "predictions.csv", "manifest.txt",
+}
 # reals written as integers, which a check that rewrote values would turn into floats
 INTEGRAL_REALS = {
     "data": {
@@ -107,6 +112,8 @@ class TestConfig:
             ({"noise": {"level_db": [20.0]}}, r"block 'noise': \['level_db'\]"),
             ({"timing": {"repetition": 5}}, r"block 'timing': \['repetition'\]"),
             ({"stats": {"nemenyi_q": 2.85}}, r"block 'stats': \['nemenyi_q'\]"),
+            # where a run writes is set only by --out, never by the config
+            ({"output_dir": "out"}, r"unknown config keys: \['output_dir'\]"),
             ({"cv": 5}, "block 'cv' must be an object"),
             ([], r"a config must be an object, got \[\]"),
             ({"timing": {"repetitions": 2}},
@@ -273,8 +280,8 @@ class TestConfig:
              r"block 'data': 'duration_s' 0.01 gives clips of 160 samples, shorter than one "
              r"512-sample analysis window"),
         ],
-        ids=["cv", "noise", "timing", "stats", "not-an-object", "config-not-an-object",
-             "two-repetitions",
+        ids=["cv", "noise", "timing", "stats", "output-dir", "not-an-object",
+             "config-not-an-object", "two-repetitions",
              "data-synthetic", "data-wav", "data-source", "data-not-an-object",
              "models-not-a-list", "model-not-an-object", "model-key", "model-without-kind",
              "model-param", "model-param-seed", "member-param", "member-key", "ensemble-param",
@@ -304,19 +311,11 @@ class TestConfig:
             ExperimentConfig.from_dict(raw, seed=1)
 
     def test_optional_nemenyi_constant_lands_in_friedman_csv(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(
-            {**TINY, "stats": {"nemenyi_q_alpha": 2.85}}, seed=19,
-            output_dir=str(tmp_path),
-        )
-        write_bundle(run_experiment(cfg), cfg.output_dir)
+        cfg = ExperimentConfig.from_dict({**TINY, "stats": {"nemenyi_q_alpha": 2.85}}, seed=19)
+        write_bundle(run_experiment(cfg), tmp_path)
         text = (tmp_path / "friedman.csv").read_text()
         assert "nemenyi_critical_difference" in text
         assert "nemenyi_q_alpha,2.8500" in text
-
-    def test_hash_ignores_output_dir(self):
-        a = ExperimentConfig.from_dict(dict(TINY), seed=5, output_dir="/tmp/a")
-        b = ExperimentConfig.from_dict(dict(TINY), seed=5, output_dir="/tmp/b")
-        assert a.config_hash() == b.config_hash()
 
     def test_hash_tracks_seed(self):
         a = ExperimentConfig.from_dict(dict(TINY), seed=5)
@@ -374,6 +373,19 @@ class TestRunExperiment:
         assert len(rows) == 1 + 2
         assert "±" in rows[1][1]  # mean ± std convention
 
+    def test_bundle_holds_exactly_the_files_it_returns(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({**TINY, "timing": {"enabled": True}}, seed=23)
+        written = write_bundle(run_experiment(cfg), tmp_path)
+        # no directory and no file beside the ones write_bundle lists
+        assert set(tmp_path.rglob("*")) == set(written.values())
+        assert {path.name for path in written.values()} == BUNDLE_FILES
+
+    def test_readme_outputs_table_names_the_bundle_files(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+        cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        assert {name for cell in cells for name in re.findall(r"`([^`]+)`", cell)} == BUNDLE_FILES
+
     def test_manifest_determines_run(self, tiny_bundle):
         cfg, bundle = tiny_bundle
         assert bundle.manifest["config_hash"] == cfg.config_hash()
@@ -386,10 +398,10 @@ class TestRunExperiment:
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
         for sub in ("one", "two"):
-            cfg = ExperimentConfig.from_dict(TINY, seed=31, output_dir=str(tmp_path / sub))
+            cfg = ExperimentConfig.from_dict(TINY, seed=31)
             bundle = run_experiment(cfg)
-            write_bundle(bundle, cfg.output_dir)
-            outs.append(Path(cfg.output_dir))
+            write_bundle(bundle, tmp_path / sub)
+            outs.append(tmp_path / sub)
         for rel in ("metrics.csv", "significance.csv", "friedman.csv", "noise.csv",
                     "importance.csv", "predictions.csv", "manifest.txt"):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
@@ -443,13 +455,10 @@ class TestBadConfigCli:
             ({"cv": {"n_folds": 3, "holdout_fraction": 0.04}},
              "error [cv] 'holdout_fraction' 0.04 of at most 12 clips per class rounds to a "
              "hold-out of 0 clips"),
-            # finite amplitudes whose bursts overflow: generate_sample rejects the clip
-            pytest.param(
-                {"data": {**TINY["data"], "generator": {
-                    "impulse_amplitudes": [0, 1e307, 1e308, 1.5e308, 1.7e308]}}},
-                "error [data] samples must all be finite",
-                marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
-            ),
+            # finite amplitudes whose bursts overflow: rejected when the config is read
+            ({"data": {**TINY["data"], "generator": {
+                "impulse_amplitudes": [0, 1e307, 1e308, 1.5e308, 1.7e308]}}},
+             "error [cli] config block 'data': 'impulse_amplitudes[1]' 1e+307 is too large"),
         ],
         ids=["preprocess", "data-wav", "data-size", "data-generator", "stats-q-alpha",
              "cv-empty-holdout", "data-overflow"],
@@ -910,6 +919,32 @@ class TestCLI:
         assert rc == 0
         assert (out / "metrics.csv").is_file()
         assert (out / "manifest.txt").is_file()
+
+    @pytest.mark.parametrize("flag, seed", [([], 7), (["--seed", "8"], 8)], ids=["config", "flag"])
+    def test_bench_takes_the_config_seed_unless_flagged(self, tmp_path, flag, seed):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**TINY, "seed": 7}))
+        out = tmp_path / "out"
+        assert cli_main(["bench", "--config", str(config_path), "--out", str(out), *flag]) == 0
+        assert f"seed={seed}" in (out / "manifest.txt").read_text().splitlines()
+
+    def test_noise_takes_the_config_seed_without_the_flag(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**TINY, "seed": 7}))
+        args = ["noise", "--config", str(config_path), "--out"]
+        assert cli_main([*args, str(tmp_path / "config")]) == 0
+        assert cli_main([*args, str(tmp_path / "flag"), "--seed", "7"]) == 0
+        noise = [(tmp_path / sub / "noise.csv").read_bytes() for sub in ("config", "flag")]
+        assert noise[0] == noise[1]
+
+    @pytest.mark.parametrize("command", ["bench", "noise"])
+    def test_no_seed_in_config_or_flag_fails(self, tmp_path, capsys, command):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(TINY))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(config_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error [cli] 'seed' must be an integer, got None")
+        assert not out.exists()
 
     def test_failure_is_stage_tagged_and_nonzero(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

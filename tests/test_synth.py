@@ -39,6 +39,14 @@ class TestGeneratorConfig:
         with pytest.raises(ParameterError):
             GeneratorConfig(impulse_rates_hz=(107.0, 107.0))
 
+    def test_amplitudes_whose_bursts_overflow_rejected(self):
+        # 1 s at 16 kHz and 107 Hz draws 108 bursts, so (1.2 * a * 108) ** 2
+        # stays finite just below a = sqrt(max float) / (1.2 * 108)
+        bound = math.sqrt(np.finfo(float).max) / (1.2 * 108)
+        GeneratorConfig(impulse_amplitudes=(0.0, 0.1, 0.3, 0.6, 0.999 * bound))
+        with pytest.raises(ParameterError, match=r"'impulse_amplitudes\[4\]' .* 108 bursts"):
+            GeneratorConfig(impulse_amplitudes=(0.0, 0.1, 0.3, 0.6, 1.001 * bound))
+
 
 class TestGenerateSample:
     def test_deterministic(self):
@@ -143,6 +151,12 @@ class TestNoiseInjection:
     def test_zero_power_rejected(self):
         with pytest.raises(DegenerateSignalError):
             add_noise_at_snr(np.zeros(100), 10.0, seed=8)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_power_rejected(self):
+        # an infinite signal power would otherwise scale the noise to inf
+        with pytest.raises(DegenerateSignalError, match="mean square is not finite"):
+            add_noise_at_snr(np.array([1e307, -1e307, 5e306]), 10.0, seed=8)
 
     def test_preserves_length_rate_and_noise_is_zero_mean(self):
         sig = np.random.default_rng(9).normal(size=16000)
