@@ -320,11 +320,12 @@ def load_corpus(directory, labels_csv, permissive: bool = False, featurize=None)
     """WAV directory + labels CSV -> Dataset of the listed clips' features, in one pass.
 
     The CSV needs 'filename' and 'label' columns. Each listed file is read
-    once, checked, added to the corpus digest and handed to ``featurize``
-    as the next clip of a stream; ``featurize`` turns that stream into the
-    feature matrix, :func:`extract_matrix` unless a run normalizes each
-    clip first. Only one waveform is held at a time: the dataset keeps
-    each loaded clip's file name, not its samples.
+    once; the clip decoded from its bytes is checked, the bytes go into the
+    corpus digest and the clip is handed to ``featurize`` as the next of a
+    stream. ``featurize`` turns that stream into the feature matrix,
+    :func:`extract_matrix` unless a run normalizes each clip first. Only
+    one waveform is held at a time: the dataset keeps each loaded clip's
+    file name, not its samples.
     A missing file, a file ``read_wav`` rejects, a clip shorter than the
     analysis window and an all-zero clip abort the load unless
     ``permissive`` is set, in which case they are skipped and listed with
@@ -376,7 +377,7 @@ def load_corpus(directory, labels_csv, permissive: bool = False, featurize=None)
                     continue
                 raise ParameterError(f"listed file missing: {path}")
             try:
-                signal = read_wav(path)
+                signal, data = read_wav(path, with_bytes=True)
             except UnsupportedWavError as exc:
                 if permissive:  # a reason names no path, as the other skip reasons do
                     skipped[row["filename"]] = str(exc).removeprefix(f"{path}: ")
@@ -397,7 +398,6 @@ def load_corpus(directory, labels_csv, permissive: bool = False, featurize=None)
                 raise ParameterError(f"{path}: {reason}")
             filenames.append(row["filename"])
             raw_labels.append(label)
-            data = path.read_bytes()
             digest.update(f"{row['filename']}\n{label}\n{len(data)}\n".encode("utf-8"))
             digest.update(data)
             yield signal

@@ -3,10 +3,9 @@
 Everything here is a pure function of plain arrays (a clip is its 1-D
 samples; the sample rate is passed where it is needed) that returns
 plain arrays: Hann-windowed STFT power spectrograms with their bin
-frequencies (``numpy.fft``), mel-frequency cepstra of a spectrogram,
-Daubechies wavelet subband energies and a spectrogram's chroma profile.
-Filterbank, DCT and pitch-class tables are cached read-only, so the
-kernels are safe to call from multiple threads.
+frequencies (``numpy.fft``), mel-frequency cepstra of a spectrogram and
+Daubechies wavelet subband energies. Filterbank and DCT tables are
+cached read-only, so the kernels are safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "mfcc_from_spectrogram",
     "default_window_size",
     "dwt_energies",
-    "chroma_vector",
 ]
 
 
@@ -147,6 +145,8 @@ _DB4_LO = np.array(
 # Quadrature mirror high-pass: g[k] = (-1)^k h[L-1-k].
 _DB4_HI = _DB4_LO[::-1].copy()
 _DB4_HI[1::2] *= -1.0
+# decomposition depth: the registry's wavelet features are D1..D5 and A5
+DWT_LEVELS = 5
 
 
 def _dwt_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,57 +172,22 @@ def _dwt_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return windows @ _DB4_LO, windows @ _DB4_HI
 
 
-def dwt_energies(samples: np.ndarray, levels: int = 5) -> np.ndarray:
-    """Daubechies-4 subband energies ``[D1, ..., Dn, An]`` over ``levels`` levels.
+def dwt_energies(samples: np.ndarray) -> np.ndarray:
+    """Daubechies-4 subband energies ``[D1, ..., D5, A5]`` over ``DWT_LEVELS`` levels.
 
-    ``Di`` is the level-i detail band energy and ``An`` that of the final
+    ``Di`` is the level-i detail band energy and ``A5`` that of the final
     approximation. The transform is orthonormal with periodic extension,
     so the energies sum to the signal's energy.
     """
-    if levels < 1:
-        raise ParameterError("levels must be >= 1")
-    if len(samples) < 2 ** levels:
+    if len(samples) < 2 ** DWT_LEVELS:
         raise ParameterError(
-            f"signal of {len(samples)} samples too short for {levels} levels"
+            f"signal of {len(samples)} samples too short for {DWT_LEVELS} levels"
         )
     energies = []
     approx = samples
-    for _ in range(levels):
+    for _ in range(DWT_LEVELS):
         approx, detail = _dwt_step(approx)
         energies.append(np.sum(detail ** 2))
     energies.append(np.sum(approx ** 2))
     return np.array(energies)
 
-
-# ---------------------------------------------------------------------------
-# Chroma
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=32)
-def _pitch_class_bins(n_bins: int, bin_hz: float) -> tuple[np.ndarray, ...]:
-    """Bins ``1..n_bins-1`` of a spectrum ``bin_hz`` apart, grouped by pitch class 0..11."""
-    freqs = np.arange(n_bins) * bin_hz
-    bins = np.flatnonzero(freqs > 0)
-    midi = 69.0 + 12.0 * np.log2(freqs[bins] / 440.0)
-    classes = np.round(midi).astype(int) % 12
-    groups = tuple(bins[classes == pc] for pc in range(12))
-    for group in groups:
-        group.flags.writeable = False
-    return groups
-
-
-def chroma_vector(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """12-bin pitch-class power profile averaged over frames (A = class 9).
-
-    Takes the ``(power, freqs)`` pair of :func:`stft`, whose bins are
-    ``freqs[1]`` apart. Bin powers fold onto the chromatic scale with
-    A4 = 440 Hz as the reference; the DC bin carries no pitch and is
-    skipped. The bin groups are cached per (bin count, bin width).
-    """
-    if power.shape[0] == 0:
-        raise ParameterError("empty spectrogram")
-    groups = _pitch_class_bins(len(freqs), float(freqs[1]))
-    folded = np.zeros((power.shape[0], 12))
-    for pc, group in enumerate(groups):
-        folded[:, pc] = power[:, group].sum(axis=1)
-    return folded.mean(axis=0)

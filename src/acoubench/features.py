@@ -25,6 +25,8 @@ from .errors import ParameterError
 from .registry import FEATURE_COUNT, feature_names
 
 _EPS = 1e-12
+ROLLOFF_FRACTION = 0.85  # share of the power below the rolloff frequency
+N_OCTAVE_BANDS = 8  # octave bands below Nyquist, for the band ratios and the contrast
 
 
 # ---------------------------------------------------------------------------
@@ -43,18 +45,15 @@ def _safe_div(num, den):
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
-def spectral_shape(power, freqs, moments: int = 4, total=None):
+def spectral_shape(power, freqs, total, moments: int = 4):
     """Centroid, bandwidth, skewness and kurtosis of the power-weighted frequencies.
 
-    Along the last axis; each is 0 where the power is all zero, and the
-    skewness and kurtosis also where the bandwidth is 0. With
-    ``moments=2`` only the centroid and bandwidth are computed and
-    returned. The time group passes amplitudes and sample times for the
-    temporal shape. ``total`` is ``power.sum(axis=-1)`` when the caller
-    already has it.
+    Along the last axis, whose sum the caller passes as ``total``; each is
+    0 where the power is all zero, and the skewness and kurtosis also where
+    the bandwidth is 0. With ``moments=2`` only the centroid and bandwidth are computed
+    and returned. The time group passes amplitudes and sample times for
+    the temporal shape.
     """
-    if total is None:
-        total = power.sum(axis=-1)
     centroid = _safe_div((power * freqs).sum(axis=-1), total)
     dev = freqs - centroid[..., None]
     weighted = power * (dev * dev)
@@ -69,11 +68,12 @@ def spectral_shape(power, freqs, moments: int = 4, total=None):
     return centroid, bandwidth, _safe_div(m3, bandwidth ** 3), _safe_div(m4, var ** 2)
 
 
-def spectral_rolloff(power, freqs, fraction=0.85, total=None):
-    """Lowest frequency below which ``fraction`` of the power lies; 0 for silence."""
-    if total is None:
-        total = power.sum(axis=-1)
-    hit = np.cumsum(power, axis=-1) >= fraction * total[..., None]
+def spectral_rolloff(power, freqs, total):
+    """Lowest frequency below which ``ROLLOFF_FRACTION`` of the power lies; 0 for silence.
+
+    ``total`` is the power's sum along the last axis.
+    """
+    hit = np.cumsum(power, axis=-1) >= ROLLOFF_FRACTION * total[..., None]
     return np.where(total > 0, freqs[np.argmax(hit, axis=-1)], 0.0)
 
 
@@ -98,9 +98,9 @@ def dominant_frequency(power, freqs, total):
     return np.where(total > 0, freqs[np.argmax(power, axis=-1)], 0.0)
 
 
-def _octave_cuts(freqs, n_bands: int = 8) -> np.ndarray:
+def _octave_cuts(freqs) -> np.ndarray:
     """Start bin of each octave band, then ``len(freqs)``; the highest band ends at Nyquist."""
-    edges = freqs[-1] / (2.0 ** np.arange(n_bands, -1, -1))
+    edges = freqs[-1] / (2.0 ** np.arange(N_OCTAVE_BANDS, -1, -1))
     cuts = np.searchsorted(freqs, edges, side="left")
     cuts[-1] = len(freqs)
     return cuts
@@ -116,11 +116,10 @@ def spectral_contrast(power, cuts):
 
     The bands are contiguous and the last ends at the last bin, so each
     non-empty band is the ``reduceat`` segment from its start to the next
-    non-empty band's start.
+    non-empty band's start. The top band, from the first bin at or above
+    Nyquist/2, always holds the last bin, so there is at least one.
     """
     starts = cuts[:-1][cuts[1:] > cuts[:-1]]
-    if len(starts) == 0:
-        return np.zeros(power.shape[:-1])
     peak = np.maximum.reduceat(power, starts, axis=-1)
     valley = np.minimum.reduceat(power, starts, axis=-1)
     return np.mean(np.log10((peak + _EPS) / (valley + _EPS)), axis=-1)
@@ -265,7 +264,7 @@ def time_features(samples: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     mcr = float(np.count_nonzero(negative[1:] != negative[:-1])) / (n - 1) if n > 1 else 0.0
 
     # amplitude-weighted time distribution
-    t_centroid, t_spread, t_skew, t_kurt = spectral_shape(abs_s, np.arange(n) / sr, total=abs_total)
+    t_centroid, t_spread, t_skew, t_kurt = spectral_shape(abs_s, np.arange(n) / sr, abs_total)
 
     diff = np.diff(s) if n > 1 else np.zeros(1)
     diff_rms = float(np.sqrt(np.mean(diff ** 2)))
@@ -335,37 +334,38 @@ def time_features(samples: np.ndarray, sample_rate_hz: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def freq_features(
-    samples: np.ndarray, sample_rate_hz: float, sgram: tuple[np.ndarray, np.ndarray], flux=None
+    samples: np.ndarray, sample_rate_hz: float, sgram: tuple[np.ndarray, np.ndarray], flux
 ) -> np.ndarray:
     """The 45 frequency-domain values; ``sgram`` is :func:`spectrogram` of the clip.
 
-    ``flux`` is :func:`spectral_flux` of the spectrogram's power, computed
-    here unless the caller shares it with :func:`timefreq_features`.
+    ``flux`` is :func:`spectral_flux` of the spectrogram's power, which
+    :func:`timefreq_features` shares.
     """
-    stft_power, stft_freqs = sgram
+    stft_power = sgram[0]
     power, freqs = full_spectrum(samples, sample_rate_hz)
     total = power.sum()
     floored = np.maximum(power, _EPS)
 
-    centroid, bandwidth, skew, kurt = spectral_shape(power, freqs, total=total)
+    centroid, bandwidth, skew, kurt = spectral_shape(power, freqs, total)
     cuts = _octave_cuts(freqs)
     band_ratios = _safe_div(octave_band_energies(power, cuts), total)
 
-    if flux is None:
-        flux = spectral_flux(stft_power)
     mean_flux = float(flux.mean()) if len(flux) else 0.0
 
     mf = dsp.mfcc_from_spectrogram(stft_power, sample_rate_hz, n_coeffs=13)
     mfcc_means = mf.mean(axis=0)
     mfcc_stds = mf.std(axis=0)
 
-    chroma = float(dsp.chroma_vector(stft_power, stft_freqs).mean())
+    # Chroma Mean: a 12-pitch-class fold puts every non-DC bin in exactly
+    # one class, so the mean over classes and frames is the non-DC power
+    # over 12 x frames
+    chroma = float(stft_power[:, 1:].sum() / (12 * len(stft_power)))
 
     head = np.array(
         [
             float(centroid),
             float(bandwidth),
-            float(spectral_rolloff(power, freqs, total=total)),
+            float(spectral_rolloff(power, freqs, total)),
             mean_flux,
             float(_flatness(floored, np.log(floored), total)),
             float(spectral_entropy(power, total)),
@@ -389,7 +389,7 @@ def _traj_stats(values: np.ndarray) -> list[float]:
 
 
 def timefreq_features(
-    samples: np.ndarray, sample_rate_hz: float, sgram: tuple[np.ndarray, np.ndarray], flux=None
+    samples: np.ndarray, sample_rate_hz: float, sgram: tuple[np.ndarray, np.ndarray], flux
 ) -> np.ndarray:
     """The 47 time-frequency values; ``sgram`` is :func:`spectrogram` of the clip.
 
@@ -402,12 +402,12 @@ def timefreq_features(
     floored = np.maximum(power, _EPS)
     log_floored = np.log(floored)
 
-    centroid, bandwidth = spectral_shape(power, freqs, moments=2, total=frame_power)
+    centroid, bandwidth = spectral_shape(power, freqs, frame_power, moments=2)
     tracks = np.stack(
         [
             centroid,
             bandwidth,
-            spectral_rolloff(power, freqs, total=frame_power),
+            spectral_rolloff(power, freqs, frame_power),
             _flatness(floored, log_floored, frame_power),
             spectral_entropy(power, frame_power),
             spectral_contrast(power, _octave_cuts(freqs)),
@@ -426,12 +426,10 @@ def timefreq_features(
         dominant_stats,
         frame_power_stats,
     ) = np.stack([tracks.mean(axis=1), tracks.std(axis=1), tracks.max(axis=1)], axis=1).tolist()
-    if flux is None:
-        flux = spectral_flux(power)
 
     values = centroid_stats + bandwidth_stats + rolloff_stats + flatness_stats + _traj_stats(flux)
 
-    subbands = dsp.dwt_energies(samples, levels=5)
+    subbands = dsp.dwt_energies(samples)
     values += [float(v) for v in subbands]
     shares = _safe_div(subbands, subbands.sum())
     values += [float(v) for v in shares]

@@ -110,7 +110,7 @@ def _entries():
             f"frame-level standard deviation of MFCC-{i + 1}",
             True,
         )
-    add("Chroma Mean", FREQUENCY, "average of the 12 frame-averaged chroma powers", False)
+    add("Chroma Mean", FREQUENCY, "non-DC STFT power / (12 * frames): the mean of the 12 frame-averaged chroma powers", False)
 
     # --- time-frequency domain (47) --------------------------------------
     for stat in ("Mean", "Std", "Max"):

@@ -71,6 +71,11 @@ class GeneratorConfig:
                 )
             for i, value in enumerate(values):
                 checked(f"{name}[{i}]", value, float, interval)
+        if not math.isfinite(self.duration_s * self.sample_rate_hz):
+            raise ParameterError(
+                f"'duration_s' {self.duration_s!r} times 'sample_rate_hz' "
+                f"{self.sample_rate_hz!r} overflows a clip's sample count"
+            )
         amps = self.impulse_amplitudes
         if any(b <= a for a, b in zip(amps, amps[1:])):
             raise ParameterError("impulse amplitudes must increase strictly with severity")

@@ -8,6 +8,7 @@ rejected, not converted.
 
 from __future__ import annotations
 
+import io
 import wave
 from pathlib import Path
 
@@ -17,10 +18,16 @@ from .audio import AudioSignal
 from .errors import UnsupportedWavError
 
 
-def read_wav(path) -> AudioSignal:
+def read_wav(path, with_bytes: bool = False):
+    """The clip in the WAV file at ``path``, decoded from one read of the file.
+
+    With ``with_bytes`` the result is ``(clip, file bytes)``, for a caller
+    that digests the bytes it decoded.
+    """
     path = Path(path)
+    data = path.read_bytes()
     try:
-        with wave.open(str(path), "rb") as wf:
+        with wave.open(io.BytesIO(data), "rb") as wf:
             if wf.getcomptype() != "NONE":
                 raise UnsupportedWavError(f"{path}: compressed WAV not supported")
             if wf.getnchannels() != 1:
@@ -40,7 +47,8 @@ def read_wav(path) -> AudioSignal:
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if len(samples) == 0:
         raise UnsupportedWavError(f"{path}: file contains no samples")
-    return AudioSignal(samples=samples, sample_rate_hz=float(rate))
+    signal = AudioSignal(samples=samples, sample_rate_hz=float(rate))
+    return (signal, data) if with_bytes else signal
 
 
 def write_wav(path, signal: AudioSignal) -> None:

@@ -459,9 +459,13 @@ class TestBadConfigCli:
             ({"data": {**TINY["data"], "generator": {
                 "impulse_amplitudes": [0, 1e307, 1e308, 1.5e308, 1.7e308]}}},
              "error [cli] config block 'data': 'impulse_amplitudes[1]' 1e+307 is too large"),
+            # finite duration and rate whose sample count overflows
+            ({"data": {"duration_s": 1e300, "sample_rate_hz": 1e300}},
+             "error [cli] config block 'data': 'duration_s' 1e+300 times 'sample_rate_hz' "
+             "1e+300 overflows a clip's sample count"),
         ],
         ids=["preprocess", "data-wav", "data-size", "data-generator", "stats-q-alpha",
-             "cv-empty-holdout", "data-overflow"],
+             "cv-empty-holdout", "data-overflow", "data-sample-count-overflow"],
     )
     def test_bench_fails_before_writing(self, tmp_path, capsys, override, message):
         config_path = tmp_path / "config.json"
@@ -470,6 +474,16 @@ class TestBadConfigCli:
         rc = cli_main(["bench", "--config", str(config_path), "--out", str(out), "--seed", "3"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    def test_synth_rejects_a_sample_count_that_overflows(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        rc = cli_main(["synth", "--out", str(out), "--seed", "3",
+                       "--duration", "1e300", "--sample-rate", "1e300"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error [cli] 'duration_s' 1e+300 times 'sample_rate_hz' 1e+300 overflows"
+        )
         assert not out.exists()
 
     def test_empty_holdout_stops_before_any_fit(self, monkeypatch):

@@ -6,7 +6,6 @@ from acoubench.dsp import (
     _DB4_HI,
     _DB4_LO,
     _dwt_step,
-    chroma_vector,
     default_window_size,
     dwt_energies,
     mel_filterbank,
@@ -172,7 +171,7 @@ class TestDWT:
 
     def test_too_short_rejected(self):
         with pytest.raises(ParameterError):
-            dwt_energies(np.ones(16), levels=5)
+            dwt_energies(np.ones(16))
 
     @pytest.mark.parametrize("n", [4, 9, 33, 8001, 16000])
     def test_step_equals_modulo_gather(self, rng, n):
@@ -188,28 +187,6 @@ class TestDWT:
         # a 6 kHz tone at 16 kHz sampling lands in D1 (4-8 kHz)
         sig = make_tone(6000.0)
         assert dwt_energies(sig)[0] > 0.8 * np.sum(sig ** 2)
-
-
-class TestChroma:
-    def test_silence_zero(self):
-        sgram = stft(np.zeros(4096), SR, 512, 256)
-        assert chroma_vector(*sgram).mean() == 0.0
-
-    def test_440_tone_concentrates_on_a(self):
-        sgram = stft(make_tone(440.0), SR, 2048, 1024)
-        vec = chroma_vector(*sgram)
-        assert vec[9] / vec.sum() > 0.9  # pitch class A
-
-    def test_linearity_in_power(self):
-        sig = make_tone(440.0)
-        double = 2.0 * sig
-        a = chroma_vector(*stft(sig, SR, 512, 256)).mean()
-        b = chroma_vector(*stft(double, SR, 512, 256)).mean()
-        assert b == pytest.approx(4.0 * a, rel=1e-9)
-
-    def test_empty_spectrogram_rejected(self):
-        with pytest.raises(ParameterError):
-            chroma_vector(np.zeros((0, 257)), np.arange(257) * (SR / 512))
 
 
 def test_next_pow2():

@@ -24,6 +24,7 @@ STALE_TRACED = {
     "acoubench.dsp.ifft",
     "acoubench.dsp.mfcc_frames",
     "acoubench.dsp.mfcc",
+    "acoubench.dsp.chroma_vector",
 }
 
 

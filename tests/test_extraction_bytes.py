@@ -29,9 +29,10 @@ ENVELOPE_COLUMNS = [32, 33, 34]
 # SHA-256 of extract_matrix(pinned_clips()) without ENVELOPE_COLUMNS, as
 # float64 bytes in row order. Computed with one numpy call per statistic
 # (np.percentile, np.median, a separate sum for each spectral statistic)
-# on numpy 2.4, x86-64, OpenBLAS; a numpy or BLAS build that rounds its
-# FFT or matrix products differently gives another digest.
-PINNED_DIGEST = "63e4710c10bc3ea25a41b4916ad0ddf87371a8ac46184fbf5c624eed0c5a9b9d"
+# and Chroma Mean (column 79) as the non-DC spectrogram power over
+# 12 x frames, on numpy 2.4, x86-64, OpenBLAS; a numpy or BLAS build that
+# rounds its FFT or matrix products differently gives another digest.
+PINNED_DIGEST = "0923b5084686a905c0ac208240f6cefcf1f4882e6725329a0804e7d32afaf65f"
 PINNED_NUMPY = "2.4"
 
 

@@ -13,6 +13,7 @@ from acoubench.features import (
     extract_matrix,
     freq_features,
     full_spectrum,
+    spectral_flux,
     spectral_rolloff,
     spectral_shape,
     spectrogram,
@@ -53,6 +54,13 @@ TOP_NAMES = [
 
 def entry(name):
     return REGISTRY[feature_names().index(name)]
+
+
+def shared(sig, rate=SR, sgram=None):
+    """The arguments ``extract_all`` passes to both spectral groups."""
+    if sgram is None:
+        sgram = spectrogram(sig, rate)
+    return sig, rate, sgram, spectral_flux(sgram[0])
 
 
 def stress_corpus():
@@ -226,9 +234,9 @@ class TestSpectralHelpers:
         freqs = np.arange(0, 2001, 100.0)
         power = np.zeros(len(freqs))
         power[freqs == 1000.0] = 4.0
-        centroid, bandwidth, _, _ = spectral_shape(power, freqs)
+        centroid, bandwidth, _, _ = spectral_shape(power, freqs, power.sum())
         assert centroid == pytest.approx(1000.0)
-        assert spectral_rolloff(power, freqs) == pytest.approx(1000.0)
+        assert spectral_rolloff(power, freqs, power.sum()) == pytest.approx(1000.0)
         assert bandwidth == pytest.approx(0.0)
 
     def test_two_equal_bins(self):
@@ -236,32 +244,32 @@ class TestSpectralHelpers:
         power = np.zeros(len(freqs))
         power[freqs == 100.0] = 1.0
         power[freqs == 300.0] = 1.0
-        assert spectral_shape(power, freqs)[0] == pytest.approx(200.0)
+        assert spectral_shape(power, freqs, power.sum())[0] == pytest.approx(200.0)
 
     def test_silence_conventions(self):
         freqs = np.arange(0, 401, 100.0)
         power = np.zeros(len(freqs))
-        centroid, bandwidth, _, _ = spectral_shape(power, freqs)
+        centroid, bandwidth, _, _ = spectral_shape(power, freqs, power.sum())
         assert centroid == 0.0
-        assert spectral_rolloff(power, freqs) == 0.0
+        assert spectral_rolloff(power, freqs, power.sum()) == 0.0
         assert bandwidth == 0.0
 
 
 class TestFreqFeatures:
     def test_length(self):
         sig = make_noise(seed=2)
-        assert freq_features(sig, SR, spectrogram(sig, SR)).shape == (45,)
+        assert freq_features(*shared(sig)).shape == (45,)
 
     def test_stationary_flux_vanishes(self):
         # 250 Hz: bin-centered for the 512 window and hop-periodic at 256
         sig = make_tone(250.0)
-        values = freq_features(sig, SR, spectrogram(sig, SR))
+        values = freq_features(*shared(sig))
         flux = values[entry("Spectral Flux").id - 35]
         assert flux < 1e-6
 
     def test_octave_ratios_sum_below_one(self):
         sig = make_noise(seed=3)
-        values = freq_features(sig, SR, spectrogram(sig, SR))
+        values = freq_features(*shared(sig))
         ratios = values[10:18]
         assert np.all(ratios >= 0)
         assert ratios.sum() <= 1.0 + 1e-9
@@ -277,26 +285,67 @@ class TestFreqFeatures:
         assert freqs[1] == pytest.approx(SR / 1024)
 
 
+def pitch_class_fold(power, freqs):
+    """[frames, 12] power per pitch class (A = 9): the definition Chroma Mean averages.
+
+    Each non-DC bin goes to the class of its nearest equal-tempered pitch,
+    with A4 = 440 Hz; the DC bin carries no pitch.
+    """
+    bins = np.flatnonzero(freqs > 0)
+    classes = np.round(69.0 + 12.0 * np.log2(freqs[bins] / 440.0)).astype(int) % 12
+    folded = np.zeros((len(power), 12))
+    for pc in range(12):
+        folded[:, pc] = power[:, bins[classes == pc]].sum(axis=1)
+    return folded
+
+
+class TestChromaMean:
+    COLUMN = entry("Chroma Mean").id - 35
+
+    @pytest.mark.parametrize("rate", [16000.0, 22050.0], ids=["16k", "22k"])
+    @pytest.mark.parametrize("kind", ["noise", "tone", "quiet-tone"])
+    def test_equals_the_mean_of_the_pitch_class_fold(self, rate, kind):
+        sig = {
+            "noise": make_noise(0.7, rate, seed=9),
+            "tone": make_tone(440.0, 0.7, rate),
+            "quiet-tone": make_tone(3137.0, 0.7, rate, amp=1e-3) + make_noise(0.7, rate, 10, 1e-6),
+        }[kind]
+        args = shared(sig, rate)
+        want = pitch_class_fold(*args[2]).mean(axis=0).mean()
+        got = freq_features(*args)[self.COLUMN]
+        assert abs(got - want) <= 1e-15 * want
+
+    def test_silence_zero(self):
+        sig = np.zeros(4096)
+        assert freq_features(*shared(sig))[self.COLUMN] == 0.0
+
+    def test_doubling_samples_quadruples(self):
+        sig = make_tone(440.0)
+        a = freq_features(*shared(sig))[self.COLUMN]
+        b = freq_features(*shared(2.0 * sig))[self.COLUMN]
+        assert b == pytest.approx(4.0 * a, rel=1e-15)
+
+
 class TestTimeFreqFeatures:
     def test_length(self):
         sig = make_noise(seed=4)
-        assert timefreq_features(sig, SR, spectrogram(sig, SR)).shape == (47,)
+        assert timefreq_features(*shared(sig)).shape == (47,)
 
     def test_zero_signal_all_zero(self):
         sig = np.zeros(4096)
-        values = timefreq_features(sig, SR, spectrogram(sig, SR))
+        values = timefreq_features(*shared(sig))
         np.testing.assert_array_equal(values, np.zeros(47))
 
     def test_wavelet_d4_is_definitional_passthrough(self):
         sig = make_noise(seed=5)
-        values = timefreq_features(sig, SR, spectrogram(sig, SR))
+        values = timefreq_features(*shared(sig))
         d4 = dwt_energies(sig)[3]
         idx = entry("Wavelet energy (D4)").id - 80
         assert values[idx] == pytest.approx(d4, rel=1e-12)
 
     def test_stationary_centroid_trajectory_is_flat(self):
         sig = make_tone(1000.0)
-        values = timefreq_features(sig, SR, spectrogram(sig, SR))
+        values = timefreq_features(*shared(sig))
         mean_idx = entry("Frame Centroid Mean").id - 80
         std_idx = entry("Frame Centroid Std").id - 80
         assert values[std_idx] < 1e-3 * values[mean_idx]
@@ -305,7 +354,7 @@ class TestTimeFreqFeatures:
         # a 16-sample spectrogram can be built, the 5-level wavelet split cannot
         sig = np.ones(16)
         with pytest.raises(ParameterError):
-            timefreq_features(sig, SR, dsp.stft(sig, SR, 16, 8))
+            timefreq_features(*shared(sig, sgram=dsp.stft(sig, SR, 16, 8)))
         with pytest.raises(ParameterError):
             extract_all(sig, SR)
 
@@ -321,8 +370,8 @@ class TestExtractAll:
         sig = make_noise(seed=6)
         vec = extract_all(sig, SR)
         np.testing.assert_array_equal(vec[:35], time_features(sig, SR))
-        np.testing.assert_array_equal(vec[35:80], freq_features(sig, SR, spectrogram(sig, SR)))
-        np.testing.assert_array_equal(vec[80:], timefreq_features(sig, SR, spectrogram(sig, SR)))
+        np.testing.assert_array_equal(vec[35:80], freq_features(*shared(sig)))
+        np.testing.assert_array_equal(vec[80:], timefreq_features(*shared(sig)))
 
     def test_one_stft_and_three_ffts_per_clip(self, monkeypatch):
         # the STFT is shared by both spectral groups; the other transforms

@@ -8,10 +8,13 @@ file once. Pulling a clip and extracting it interleave, yet a failure in
 either is still tagged with its own stage.
 """
 
+import builtins
 import csv
+import io
 import tracemalloc
 from contextlib import redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,22 +82,29 @@ def _wav_corpus(root, n_clips, silent=False):
     return wav_dir, labels
 
 
+# corpus_sha256 of _wav_corpus(root, 4, silent=True) loaded permissively
+# (the four kept clips), as the two-read loader computed it
+CORPUS_DIGEST = "b3ad2b399577ad12b6027da1c15957213194a504bd1d4cecc321034ac2e1d47d"
+
+
 def test_extract_reads_each_listed_file_once_and_extracts_each_kept_clip_once(tmp_path, monkeypatch):
     # the silent clip is read, then skipped: it is never extracted
     wav_dir, labels = _wav_corpus(tmp_path, 4, silent=True)
 
     reads, extracted = [], []
-    read_wav, extract_all = bench.read_wav, features.extract_all
+    real_open, extract_all = io.open, features.extract_all
 
-    def counting_read_wav(path):
-        reads.append(path.name)
-        return read_wav(path)
+    def counting_open(file, *args, **kwargs):
+        if str(file).endswith(".wav"):
+            reads.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
 
     def counting_extract_all(samples, sample_rate_hz):
         extracted.append(len(samples))
         return extract_all(samples, sample_rate_hz)
 
-    monkeypatch.setattr(bench, "read_wav", counting_read_wav)
+    monkeypatch.setattr(io, "open", counting_open)  # pathlib's reads
+    monkeypatch.setattr(builtins, "open", counting_open)  # wave.open's, given a path
     monkeypatch.setattr(features, "extract_all", counting_extract_all)
     out = tmp_path / "features.csv"
     argv = ["extract", "--wav-dir", str(wav_dir), "--labels", str(labels), "--out", str(out),
@@ -104,6 +114,10 @@ def test_extract_reads_each_listed_file_once_and_extracts_each_kept_clip_once(tm
     assert sorted(reads) == ["c0.wav", "c1.wav", "c2.wav", "c3.wav", "silent.wav"]
     assert extracted == [CLIP.n_samples] * 4
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 4
+    # the digest is taken over the bytes that were decoded, and has not moved
+    with pytest.warns(UserWarning, match="skipped 1 files"):
+        dataset = bench.load_corpus(wav_dir, labels, permissive=True)
+    assert dataset.provenance["corpus_sha256"] == CORPUS_DIGEST
 
 
 @pytest.mark.parametrize("source", ["synthetic", "wav"])
@@ -121,11 +135,11 @@ def test_pulling_a_clip_fails_in_data_and_extracting_it_in_features(tmp_path, mo
     calls = []
 
     def fails_on_third_clip(make):
-        def call(*args):
+        def call(*args, **kwargs):
             calls.append(make.__name__)
             if len(calls) == 3:
                 raise ValueError("third clip")
-            return make(*args)
+            return make(*args, **kwargs)
         return call
 
     source_module, source_name = (bench, "read_wav") if source == "wav" else (synth, "generate_sample")
