@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import checked
 from .base import Classifier
-from .tree import Tree, pick_split, sorted_prefix_sums
+from .tree import Tree, pick_split
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -19,27 +19,42 @@ def _gini(counts: np.ndarray) -> float:
     return 1.0 - float(np.sum(p * p))
 
 
-def _best_split(X, y, n_classes, feature_ids):
+def sorted_prefix_sums(cols, targets):
+    """Sort a node's candidate columns once; accumulate its targets in that order.
+
+    ``cols`` is [k, n], one candidate column per row, and ``targets``
+    [n, m]. Returns ``(xs, boundary, prefix)``: the columns sorted
+    (stably, so equal values keep their row order); a mask [k, n-1], true
+    where a column's value rises between sorted rows i and i+1, so a
+    threshold fits there; and ``prefix`` [k, n-1, m], the target sums over
+    the i+1 smallest rows per column.
+    """
+    order = np.argsort(cols, axis=1, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=1)
+    return xs, xs[:, :-1] < xs[:, 1:], np.cumsum(targets[order], axis=1)[:, :-1]
+
+
+def _best_split(cols, onehot, counts, feature_ids):
     """Best (feature, threshold, gain) over candidate features, or None.
 
-    Thresholds are midpoints between consecutive distinct sorted values;
-    gain is the decrease in Gini impurity weighted by child sizes. Each
-    feature's best boundary is the first at the minimum weighted Gini;
-    features compete in draw order.
+    ``cols`` [k, n] holds the node's values of ``feature_ids``, one row
+    per candidate in draw order; ``onehot`` [n, C] holds its rows'
+    classes and ``counts`` their sum per class. Thresholds are midpoints
+    between consecutive distinct sorted values; gain is the decrease in
+    Gini impurity weighted by child sizes. Each feature's best boundary
+    is the first at the minimum weighted Gini; features compete in draw
+    order.
     """
-    n = len(y)
-    parent_counts = np.bincount(y, minlength=n_classes).astype(float)
-    parent_gini = _gini(parent_counts)
-    xs, boundary, left_counts = sorted_prefix_sums(X[:, feature_ids], np.eye(n_classes)[y])
-    left_n = np.arange(1.0, n)[:, None]
+    n = len(onehot)
+    xs, boundary, left_counts = sorted_prefix_sums(cols, onehot)
+    left_n = np.arange(1.0, n)
     right_n = n - left_n
-    right_counts = parent_counts - left_counts
-    pl = left_counts / left_n[..., None]
-    pr = right_counts / right_n[..., None]
-    gini_l = 1.0 - np.sum(pl * pl, axis=-1)
-    gini_r = 1.0 - np.sum(pr * pr, axis=-1)
+    pl = left_counts / left_n[:, None]
+    pr = (counts - left_counts) / right_n[:, None]
+    gini_l = 1.0 - (pl * pl).sum(axis=-1)
+    gini_r = 1.0 - (pr * pr).sum(axis=-1)
     weighted = np.where(boundary, (left_n * gini_l + right_n * gini_r) / n, np.inf)
-    found = pick_split(xs, np.argmin(weighted, axis=0), parent_gini - weighted.min(axis=0))
+    found = pick_split(xs, np.argmin(weighted, axis=1), _gini(counts) - weighted.min(axis=1))
     if found is None:
         return None
     j, threshold, gain = found
@@ -55,17 +70,19 @@ def _grow_tree(tree, X, y, n_classes, max_depth, min_samples_split, max_features
     """
     d = X.shape[1]
     importance = np.zeros(d)
+    XT = np.ascontiguousarray(X.T)
+    onehot = np.eye(n_classes)[y]
 
-    def node(Xn, rows, depth):
-        yn = y[rows]
-        counts = np.bincount(yn, minlength=n_classes).astype(float)
-        if depth >= max_depth or len(yn) < min_samples_split or np.count_nonzero(counts) <= 1:
+    def node(rows, depth):
+        counts = np.bincount(y[rows], minlength=n_classes).astype(float)
+        if depth >= max_depth or len(rows) < min_samples_split or np.count_nonzero(counts) <= 1:
             return counts, None
-        found = _best_split(Xn, yn, n_classes, rng.choice(d, size=max_features, replace=False))
+        ids = rng.choice(d, size=max_features, replace=False)
+        found = _best_split(XT[ids[:, None], rows], onehot[rows], counts, ids)
         if found is None:
             return counts, None
         feature, threshold, gain = found
-        importance[feature] += gain * len(yn) / len(y)
+        importance[feature] += gain * len(rows) / len(y)
         return counts, (feature, threshold)
 
     tree.grow(X, node)
@@ -87,7 +104,7 @@ class RandomForestClassifier(Classifier):
         super().__init__(seed=seed)
         self.n_trees = checked("n_trees", n_trees, int, "[1, inf)")
         self.max_depth = checked("max_depth", max_depth, int, "[1, inf)")
-        self.min_samples_split = checked("min_samples_split", min_samples_split, int)
+        self.min_samples_split = checked("min_samples_split", min_samples_split, int, "[2, inf)")
 
     def _fit(self, X, y):
         n, d = X.shape

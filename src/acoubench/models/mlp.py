@@ -66,14 +66,17 @@ class MLPClassifier(Classifier):
 
     def loss_and_gradients(self, X, y, weights=None):
         """Mean cross-entropy and its gradients w.r.t. every parameter."""
-        weights = weights if weights is not None else self.weights_
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=int)
+        onehot = np.eye(self.class_count)[np.asarray(y, dtype=int)]
+        weights = weights if weights is not None else self.weights_
+        return self._loss_and_gradients(X, onehot, weights)
+
+    def _loss_and_gradients(self, X, onehot, weights):
+        """One forward and one backward pass over the rows of ``X``."""
         _, dact = _ACTIVATIONS[self.activation]
         W1, b1, W2, b2, W3, b3 = weights
         z1, a1, z2, a2, probs = self._forward(X, weights)
         n = len(X)
-        onehot = np.eye(self.class_count)[y]
         loss = _cross_entropy(probs, onehot)
 
         d3 = (probs - onehot) / n
@@ -88,6 +91,7 @@ class MLPClassifier(Classifier):
         return loss, [gW1, gb1, gW2, gb2, gW3, gb3]
 
     def _fit(self, X, y):
+        """``loss_history_[e]`` is the mean of epoch e's batch losses, weighted by batch rows."""
         rng = np.random.default_rng(self.seed)
         self.weights_ = self._init_weights(X.shape[1], rng)
         n = len(X)
@@ -95,18 +99,19 @@ class MLPClassifier(Classifier):
         self.loss_history_ = []
         for epoch in range(self.epochs):
             order = rng.permutation(n)
+            total = 0.0
             for start in range(0, n, self.batch_size):
                 batch = order[start : start + self.batch_size]
-                loss, grads = self.loss_and_gradients(X[batch], y[batch])
+                loss, grads = self._loss_and_gradients(X[batch], onehot[batch], self.weights_)
                 if not np.isfinite(loss):
                     raise DivergenceError(
                         f"training loss became non-finite at epoch {epoch}; "
                         f"lower the learning rate (currently {self.learning_rate})"
                     )
+                total += loss * len(batch)
                 for w, g in zip(self.weights_, grads):
                     w -= self.learning_rate * g
-            # the epoch's loss over every row needs the forward pass only
-            self.loss_history_.append(_cross_entropy(self._forward(X, self.weights_)[-1], onehot))
+            self.loss_history_.append(total / n)
 
     def predict_proba(self, X) -> np.ndarray:
         self._check_fitted()

@@ -6,6 +6,11 @@ another in fit order, and ``roots[t]`` is the root of tree ``t``. Node
 and every other row, NaN included, to ``right[i]``. A leaf has feature
 -1 and children -1. ``value[i]`` is the node's payload: class counts in
 the forest, the weight in boosting.
+
+``grow`` hands each node its rows and leaves the split search to the
+model: boosting filters a presorted block (``boosting.presort``), the
+forest sorts its few drawn columns per node. Both pick the winning
+column with ``pick_split``.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ class Tree:
     def grow(self, X, node) -> np.ndarray:
         """Append one tree, grown depth first, left subtree before right.
 
-        ``node(Xn, rows, depth)`` is called once per node, in preorder,
-        with the node's rows ``Xn = X[rows]`` (in input order) and
-        returns ``(value, split)``: the node's payload and either a
+        ``node(rows, depth)`` is called once per node, in preorder, with
+        the indices of the node's rows of ``X`` (ascending) and returns
+        ``(value, split)``: the node's payload and either a
         ``(feature, threshold)`` pair or None for a leaf. Returns the
         leaf each row of ``X`` reaches.
         """
@@ -37,21 +42,22 @@ class Tree:
         nodes = []  # one [feature, threshold, left, right, value] per node, in preorder
         leaf = np.empty(len(X), dtype=np.intp)
 
-        def visit(Xn, rows, depth):
+        def visit(rows, depth):
             i = base + len(nodes)
-            value, split = node(Xn, rows, depth)
+            value, split = node(rows, depth)
             nodes.append([-1, 0.0, -1, -1, value])
             if split is None:
                 leaf[rows] = i
             else:
                 f, t = split
-                mask = Xn[:, f] <= t
-                left = visit(Xn[mask], rows[mask], depth + 1)
-                right = visit(Xn[~mask], rows[~mask], depth + 1)
+                mask = X[rows, f] <= t
+                left = visit(rows[mask], depth + 1)
+                right = visit(rows[~mask], depth + 1)
                 nodes[i - base][:4] = f, t, left, right
             return i
 
-        visit(X, np.arange(len(X)), 0)
+        visit(np.arange(len(X)), 0)
+        del visit  # visit's closure refers to visit: free it, and what node holds, now
         arrays = (self.feature, self.threshold, self.left, self.right, self.value)
         self.feature, self.threshold, self.left, self.right, self.value = (
             np.concatenate([old, new]) if base else np.asarray(new)
@@ -78,33 +84,20 @@ class Tree:
         return node.reshape(len(X), len(self.roots))
 
 
-def sorted_prefix_sums(cols, targets):
-    """Sort a node's candidate columns once; accumulate its targets in that order.
-
-    ``cols`` is [n, k], ``targets`` [n, m]. Returns ``(xs, boundary,
-    prefix)``: the columns sorted (stably, so equal values keep their row
-    order); a mask [n-1, k], true where a column's value rises between
-    sorted rows i and i+1, so a threshold fits there; and ``prefix``
-    [n-1, k, m], the target sums over the i+1 smallest rows per column.
-    """
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=0)
-    return xs, xs[:-1] < xs[1:], np.cumsum(targets[order], axis=0)[:-1]
-
-
 def pick_split(xs, rows, gains):
     """Winner of a scan over the columns in order: ``(column, threshold, gain)`` or None.
 
-    Column j's best gain ``gains[j]`` lies between its sorted rows
-    ``rows[j]`` and ``rows[j] + 1``, and the threshold is their midpoint.
-    A column wins only if it beats the best so far by more than 1e-15,
-    so of two near-equal columns the earlier one is kept.
+    ``xs`` holds each column's values sorted, [columns, rows]. Column
+    j's best gain ``gains[j]`` lies between its sorted rows ``rows[j]``
+    and ``rows[j] + 1``, and the threshold is their midpoint. A column
+    wins only if it beats the best so far by more than 1e-15, so of two
+    near-equal columns the earlier one is kept.
     """
     best, best_gain = None, 0.0
-    for j, gain in enumerate(gains):
+    for j, gain in enumerate(gains.tolist()):
         if gain > best_gain + 1e-15:
             best, best_gain = j, gain
     if best is None:
         return None
     i = rows[best]
-    return best, float(0.5 * (xs[i, best] + xs[i + 1, best])), float(best_gain)
+    return best, float(0.5 * (xs[best, i] + xs[best, i + 1])), best_gain

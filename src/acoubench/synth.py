@@ -130,23 +130,35 @@ def generate_sample(cls: FaultClass, seed: int, cfg: GeneratorConfig) -> AudioSi
     burst_len = max(4, round(6 * cfg.resonance_decay_s * cfg.sample_rate_hz))
     bt = np.arange(burst_len) / cfg.sample_rate_hz
     burst = np.exp(-bt / cfg.resonance_decay_s) * np.sin(2 * np.pi * cfg.resonance_freq_hz * bt)
-    impulses = np.zeros(n)
     n_bursts = cfg.n_bursts(cls)
     jitters = rng.normal(0, jitter_scale, size=n_bursts)
     gains = rng.uniform(0.8, 1.2, size=n_bursts)
-    for b in range(n_bursts):
-        start = int(round(first + b * period + jitters[b]))
-        if start >= n:
-            break
-        if start < 0:
-            continue
-        stop = min(start + burst_len, n)
-        impulses[start:stop] += gains[b] * burst[: stop - start]
+    impulses = _burst_train(n, first + np.arange(n_bursts) * period + jitters, gains, burst)
 
     samples = tone + cfg.impulse_amplitudes[cls] * impulses + noise
     if not np.all(np.isfinite(samples)):  # a backstop: the config bounds the amplitudes
         raise ParameterError("samples must all be finite")
     return AudioSignal(samples, cfg.sample_rate_hz)
+
+
+def _burst_train(n: int, onsets, gains, burst) -> np.ndarray:
+    """``n`` samples holding ``gains[b] * burst`` from sample ``rint(onsets[b])`` on, per burst.
+
+    The train ends at the first burst that starts at or after sample
+    ``n``; a burst that would start before sample 0 is left out. Bursts
+    are added in order with one scatter-add, so where they overlap each
+    sample sums them in burst order.
+    """
+    starts = np.rint(onsets).astype(np.intp)
+    late = np.flatnonzero(starts >= n)
+    if late.size:
+        starts, gains = starts[: late[0]], gains[: late[0]]
+    kept = starts >= 0
+    at = starts[kept, None] + np.arange(len(burst))
+    inside = at < n
+    impulses = np.zeros(n)
+    np.add.at(impulses, at[inside], (gains[kept, None] * burst)[inside])
+    return impulses
 
 
 def sample_seed(cfg: GeneratorConfig, cls: FaultClass, index: int) -> int:

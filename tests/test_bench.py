@@ -254,7 +254,7 @@ class TestConfig:
             ({"models": [{"kind": "gbt", "params": {"lambda_l2": -1.0}}]},
              r"models\[0\]: 'lambda_l2' must be a finite number >= 0, got -1.0"),
             ({"models": [{"kind": "gbt", "params": {"gamma_split": math.nan}}]},
-             r"models\[0\]: 'gamma_split' must be a finite number, got nan"),
+             r"models\[0\]: 'gamma_split' must be a finite number >= 0, got nan"),
             ({"models": [{"kind": "svm", "params": {"gamma": "x"}}]},
              r"models\[0\]: 'gamma' must be a finite number > 0, got 'x'"),
             ({"models": [{"kind": "svm", "params": {"C": "1"}}]},
@@ -463,9 +463,13 @@ class TestBadConfigCli:
             ({"data": {"duration_s": 1e300, "sample_rate_hz": 1e300}},
              "error [cli] config block 'data': 'duration_s' 1e+300 times 'sample_rate_hz' "
              "1e+300 overflows a clip's sample count"),
+            # a negative split penalty would pay trees for every split
+            ({"models": [{"kind": "gbt", "params": {"gamma_split": -1.0}}]},
+             "error [cli] models[0]: 'gamma_split' must be a finite number >= 0, got -1.0"),
         ],
         ids=["preprocess", "data-wav", "data-size", "data-generator", "stats-q-alpha",
-             "cv-empty-holdout", "data-overflow", "data-sample-count-overflow"],
+             "cv-empty-holdout", "data-overflow", "data-sample-count-overflow",
+             "gbt-negative-gamma-split"],
     )
     def test_bench_fails_before_writing(self, tmp_path, capsys, override, message):
         config_path = tmp_path / "config.json"

@@ -3,7 +3,7 @@ import pytest
 
 from acoubench.errors import ParameterError
 from acoubench.models import GradientBoostedTrees
-from acoubench.models.boosting import _build_tree, leaf_weight
+from acoubench.models.boosting import _build_tree, leaf_weight, presort
 from acoubench.models.tree import Tree
 
 
@@ -18,7 +18,7 @@ class TestLeafWeights:
         g = probs - (y == 1)
         h = probs * (1 - probs)
         tree = Tree()
-        _build_tree(tree, X, g, h, 1, 0.0, lam)
+        _build_tree(tree, X, presort(X), g, h, 1, 0.0, lam)
         assert tree.feature[0] == 0
         threshold = tree.threshold[0]
         grid = np.arange(-5.0, 5.0, 1e-4)
@@ -82,3 +82,5 @@ class TestTraining:
             GradientBoostedTrees(n_rounds=0)
         with pytest.raises(ParameterError):
             GradientBoostedTrees(learning_rate=1.5)
+        with pytest.raises(ParameterError, match=r"'gamma_split' must be a finite number >= 0"):
+            GradientBoostedTrees(gamma_split=-1.0)

@@ -83,3 +83,8 @@ class TestRandomForest:
     def test_invalid_tree_count(self):
         with pytest.raises(ParameterError):
             RandomForestClassifier(n_trees=0)
+
+    @pytest.mark.parametrize("value", [-3, 0, 1])
+    def test_a_split_needs_two_rows(self, value):
+        with pytest.raises(ParameterError, match=r"'min_samples_split' must be an integer >= 2"):
+            RandomForestClassifier(min_samples_split=value)

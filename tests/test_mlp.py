@@ -85,6 +85,23 @@ class TestMLP:
         assert len(model.loss_history_) == 10
         assert model.loss_history_[-1] < model.loss_history_[0]
 
+    def test_loss_history_is_the_row_weighted_mean_of_batch_losses(self, rng, monkeypatch):
+        X = rng.normal(size=(50, 4))
+        y = rng.integers(0, 3, size=50)
+        seen = []
+        step = MLPClassifier._loss_and_gradients
+
+        def recorded(model, Xb, onehot, weights):
+            loss, grads = step(model, Xb, onehot, weights)
+            seen.append((loss, len(Xb)))
+            return loss, grads
+
+        monkeypatch.setattr(MLPClassifier, "_loss_and_gradients", recorded)
+        model = MLPClassifier(hidden=(8, 4), epochs=3, batch_size=16, seed=2).fit(X, y)
+        epochs = [seen[i : i + 4] for i in range(0, 12, 4)]  # batches of 16, 16, 16 and 2 rows
+        assert len(seen) == 12 and all([n for _, n in e] == [16, 16, 16, 2] for e in epochs)
+        assert model.loss_history_ == [sum(loss * n for loss, n in e) / 50 for e in epochs]
+
     def test_deterministic_given_seed(self, rng):
         X = rng.normal(size=(30, 3))
         y = (X[:, 0] > 0).astype(int)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from acoubench.dsp import dwt_energies
+from acoubench import synth
 from acoubench.errors import DegenerateSignalError, ParameterError
 from acoubench.features import time_features
 from acoubench.synth import (
@@ -93,6 +94,47 @@ class TestGenerateSample:
                 band[int(cls), s] = energies[0] + energies[1]
         assert np.all(np.diff(kurt.mean(axis=1)) > 0)
         assert np.all(np.diff(band.mean(axis=1)) > 0)
+
+
+def _loop_burst_train(n, onsets, gains, burst):
+    """Reference: one burst at a time, as a loop adds them."""
+    impulses = np.zeros(n)
+    for b, onset in enumerate(onsets):
+        start = int(round(onset))
+        if start >= n:
+            break
+        if start < 0:
+            continue
+        stop = min(start + len(burst), n)
+        impulses[start:stop] += gains[b] * burst[: stop - start]
+    return impulses
+
+
+class TestBurstTrain:
+    @pytest.mark.parametrize("rate_hz", [16000.0, 22050.0])
+    @pytest.mark.parametrize("cls", list(FaultClass))
+    def test_overlapping_bursts_match_the_loop(self, monkeypatch, cls, rate_hz):
+        # bursts of 6 x 4 ms outlast the ~9.3 ms defect period, so up to three overlap
+        cfg = GeneratorConfig(duration_s=0.5, sample_rate_hz=rate_hz, resonance_decay_s=0.004)
+        got = [generate_sample(cls, seed, cfg).samples for seed in range(6)]
+        monkeypatch.setattr(synth, "_burst_train", _loop_burst_train)
+        want = [generate_sample(cls, seed, cfg).samples for seed in range(6)]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_ends_at_the_first_late_burst_and_skips_early_ones(self):
+        burst = np.array([1.0, 0.5, 0.25, 0.125])
+        gains = np.array([0.9, 1.1, 1.2, 0.8, 1.0, 0.85])
+        # a burst before sample 0, a half-sample onset (rounds to even), one that
+        # runs past the end, one at n, and one back inside that the train never reaches
+        onsets = np.array([-2.0, 2.5, 3.0, 9.0, 10.0, 4.0])
+        got = synth._burst_train(10, onsets, gains, burst)
+        assert got.tobytes() == _loop_burst_train(10, onsets, gains, burst).tobytes()
+        want = np.zeros(10)
+        want[2:6] += 1.1 * burst
+        want[3:7] += 1.2 * burst
+        want[9] += 0.8
+        np.testing.assert_array_equal(got, want)
 
 
 class TestGenerateDataset:
